@@ -12,6 +12,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .instance import (
     Instance,
@@ -19,6 +21,7 @@ from .instance import (
     build_distance_matrix,
     canonicalize,
     cycle_length,
+    cycle_lengths,
     random_tour,
     tour_length,
 )
@@ -57,11 +60,11 @@ class SaConfig:
     def __post_init__(self):
         if not 0.0 < self.cooling < 1.0:
             raise ConfigError("cooling must be in (0, 1)")
-        if self.min_temp <= 0:
-            raise ConfigError("min_temp must be > 0")
+        if not math.isfinite(self.min_temp) or self.min_temp <= 0:
+            raise ConfigError("min_temp must be finite and > 0")
         if self.initial_temp is not None:
-            if self.initial_temp <= 0:
-                raise ConfigError("initial_temp must be > 0 (or None for AUTO)")
+            if not math.isfinite(self.initial_temp) or self.initial_temp <= 0:
+                raise ConfigError("initial_temp must be finite and > 0 (or None for AUTO)")
             if self.min_temp >= self.initial_temp:
                 raise ConfigError("min_temp must be below initial_temp")
         if self.iters_per_temp is not None and self.iters_per_temp < 1:
@@ -99,14 +102,52 @@ def swap_mutation(t: Tour, rng: random.Random) -> Tour:
     return tuple(order)
 
 
-def _tournament(costs: list[float], k: int, rng: random.Random) -> int:
-    """Index of the best of k uniformly drawn candidates (with replacement);
-    cost ties go to the lower population index."""
-    best = rng.randrange(len(costs))
-    for _ in range(k - 1):
-        c = rng.randrange(len(costs))
-        if (costs[c], c) < (costs[best], best):
-            best = c
+def order_crossover_rows(p1: np.ndarray, p2: np.ndarray,
+                         cut_l: np.ndarray, cut_r: np.ndarray) -> np.ndarray:
+    """order_crossover applied row by row to (C, n) parent arrays with
+    per-row cuts. Works in coordinates rotated left by cut_r, where p1's
+    segment is the tail of length L = cut_r - cut_l and the fill (p2's
+    cities in cyclic order from cut_r, minus the segment's) is the head.
+    Indices are flat (row * n + column): one take or put per gather."""
+    count, n = p1.shape
+    pos = np.arange(n)
+    base = (np.arange(count) * n)[:, None]
+    rotate = pos + cut_r[:, None]
+    np.subtract(rotate, n, out=rotate, where=rotate >= n)  # cheaper than % n
+    rotate += base
+    rotated = p1.take(rotate)
+    rot2 = p2.take(rotate)
+    head = pos < (n - cut_r + cut_l)[:, None]
+    in_segment = np.empty(p1.size, dtype=bool)  # flat (row, city)
+    in_segment[base + rotated] = ~head
+    # boolean indexing reads row-major, so each row's kept cities keep
+    # their order and fill exactly that row's n - L head positions
+    rotated[head] = rot2[~in_segment[base + rot2]]
+    child = np.empty_like(rotated)
+    child.put(rotate, rotated)
+    return child
+
+
+def swap_mutation_rows(tours: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """swap_mutation applied to each row of a (C, n) array, n >= 2: two
+    distinct uniform positions per row, drawn the same way from gen."""
+    count, n = tours.shape
+    rows = np.arange(count)
+    i = gen.integers(n, size=count)
+    j = gen.integers(n - 1, size=count)
+    j += j >= i
+    out = tours.copy()
+    out[rows, i], out[rows, j] = tours[rows, j], tours[rows, i]
+    return out
+
+
+def tournament_winners(draws: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Per row of a (T, k) array of drawn population indices, the one with
+    the lexicographically smallest (cost, index)."""
+    best = draws[:, 0]
+    for c in draws.T[1:]:
+        better = (costs[c] < costs[best]) | ((costs[c] == costs[best]) & (c < best))
+        best = np.where(better, c, best)
     return best
 
 
@@ -114,49 +155,53 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
     """Generational GA. Per generation: carry the elite, then fill with
     offspring (tournament parents; OX1 with probability crossover_rate, else
     a copy of parent 1; swap mutation with probability mutation_rate).
-    Tracks the best-ever tour, so the history never increases."""
+    Tracks the best-ever tour, so the history never increases.
+
+    The initial population comes from random_tour on random.Random(seed).
+    Every later draw comes from a numpy Generator seeded by the next 64 bits
+    of that stream, and each generation is made at once on a (P, n) array:
+    one draw each for all tournaments, crossover and mutation coins, cuts
+    and swap positions, with the same distributions as order_crossover and
+    swap_mutation. Costs come from cycle_lengths, so every recorded cost is
+    the sequential sum cycle_length gives.
+    """
     start = time.perf_counter()
     rng = random.Random(cfg.seed)
     m = build_distance_matrix(instance)
-    rows = m.rows()
-    n = instance.n
+    n, size = instance.n, cfg.population
+    elite, count = cfg.elitism, size - cfg.elitism
 
-    population = [random_tour(n, rng) for _ in range(cfg.population)]
-    costs = [cycle_length(t, rows) for t in population]
-    evaluations = cfg.population
+    population = np.array([random_tour(n, rng) for _ in range(size)], dtype=np.intp)
+    costs = cycle_lengths(population, m.d)
+    gen = np.random.default_rng(rng.getrandbits(64))
+    evaluations = size
 
-    best_tour, best_cost = population[0], costs[0]
-    for t, c in zip(population[1:], costs[1:]):
-        if c < best_cost:
-            best_tour, best_cost = t, c
-    history = [best_cost]
+    best = int(np.argmin(costs))
+    best_tour, best_cost = population[best], costs[best]
+    history = [float(best_cost)]
 
     for _ in range(cfg.generations):
-        ranked = sorted(range(cfg.population), key=lambda i: (costs[i], i))
-        new_pop = [population[i] for i in ranked[:cfg.elitism]]
-        new_costs = [costs[i] for i in ranked[:cfg.elitism]]
-        while len(new_pop) < cfg.population:
-            i1 = _tournament(costs, cfg.tournament_k, rng)
-            i2 = _tournament(costs, cfg.tournament_k, rng)
-            if rng.random() < cfg.crossover_rate:
-                cut_l = rng.randrange(n)
-                cut_r = rng.randrange(cut_l + 1, n + 1)
-                child = order_crossover(population[i1], population[i2], cut_l, cut_r)
-            else:
-                child = population[i1]
-            if rng.random() < cfg.mutation_rate and n >= 2:
-                child = swap_mutation(child, rng)
-            cost = cycle_length(child, rows)
-            evaluations += 1
-            new_pop.append(child)
-            new_costs.append(cost)
-        population, costs = new_pop, new_costs
-        for t, c in zip(population, costs):
-            if c < best_cost:
-                best_tour, best_cost = t, c
-        history.append(best_cost)
+        kept = np.argsort(costs, kind="stable")[:elite]
+        draws = gen.integers(size, size=(2 * count, cfg.tournament_k))
+        parents = tournament_winners(draws, costs)
+        children = population[parents[:count]]
+        crossed = np.flatnonzero(gen.random(count) < cfg.crossover_rate)
+        cut_l = gen.integers(n, size=crossed.size)
+        cut_r = gen.integers(cut_l + 1, n + 1)
+        children[crossed] = order_crossover_rows(
+            children[crossed], population[parents[count:][crossed]], cut_l, cut_r)
+        if n >= 2:
+            mutated = np.flatnonzero(gen.random(count) < cfg.mutation_rate)
+            children[mutated] = swap_mutation_rows(children[mutated], gen)
+        population = np.concatenate((population[kept], children))
+        costs = np.concatenate((costs[kept], cycle_lengths(children, m.d)))
+        evaluations += count
+        best = int(np.argmin(costs))
+        if costs[best] < best_cost:
+            best_tour, best_cost = population[best], costs[best]
+        history.append(float(best_cost))
 
-    final_tour = canonicalize(best_tour)
+    final_tour = canonicalize(tuple(best_tour.tolist()))
     return RunResult(
         best_tour=final_tour,
         best_cost=tour_length(final_tour, m),

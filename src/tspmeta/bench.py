@@ -10,6 +10,7 @@ summary), both byte-stable apart from wall-time fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 import warnings
@@ -55,6 +56,9 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a.kind not in _ALGORITHM_KINDS:
                 raise ConfigError(f"unknown algorithm kind {a.kind!r}")
+        if self.reference_cost is not None and not (
+                math.isfinite(self.reference_cost) and self.reference_cost > 0):
+            raise ConfigError(f"reference_cost must be finite and > 0, got {self.reference_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,17 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         config = build_algorithm_config(item["kind"], item.get("params", {}))
         entries.append(AlgorithmEntry(item["name"], item["kind"], config))
     reference = doc.get("reference_cost")
+    if reference is not None:
+        try:
+            reference = float(reference)
+        except (TypeError, ValueError):
+            raise ConfigError(f"reference_cost must be a number, got {reference!r}") from None
     return ExperimentSpec(
         instance_source=str(instance_source),
         algorithms=tuple(entries),
         runs_per_algorithm=runs,
         base_seed=base_seed,
-        reference_cost=float(reference) if reference is not None else None,
+        reference_cost=reference,
     )
 
 

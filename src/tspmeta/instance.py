@@ -103,6 +103,14 @@ def cycle_length(order, rows) -> float:
     return total + rows[prev][order[0]]
 
 
+def cycle_lengths(orders: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """cycle_length of each row of a (P, n) array of visit orders, equal to
+    it bit for bit: the row-wise cumsum adds the same edges in the same
+    order (a plain .sum() would add them pairwise and round differently)."""
+    edges = d[orders, np.roll(orders, -1, axis=1)]
+    return np.cumsum(edges, axis=1)[:, -1]
+
+
 def tour_length(tour: Tour, m: DistanceMatrix) -> float:
     if len(tour) != m.n:
         raise DimensionMismatchError(f"tour has {len(tour)} cities, matrix expects {m.n}")

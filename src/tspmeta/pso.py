@@ -72,6 +72,8 @@ class SwarmConfig:
             raise ConfigError("n_particles must be >= 1")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
+        if not all(math.isfinite(v) for v in (self.w, self.c1, self.c2)):
+            raise ConfigError("w, c1 and c2 must be finite")
         if not 0.0 <= self.w <= 1.0:
             raise ConfigError("w must be in [0, 1]")
         if self.c1 < 0 or self.c2 < 0:

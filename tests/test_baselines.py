@@ -1,10 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import tspmeta as tm
 from conftest import random_instance
+from tspmeta.baselines import order_crossover_rows, swap_mutation_rows, tournament_winners
+from tspmeta.instance import cycle_length, cycle_lengths
 
 FIVE_CITY_OPT_COST = 15.15298244508295
 
@@ -39,6 +44,66 @@ class TestOrderCrossover:
             child = tm.order_crossover(p1, p2, cut_l, cut_r)
             tm.validate_tour(child, n)
             assert child[cut_l:cut_r] == p1[cut_l:cut_r]
+
+
+@st.composite
+def crossover_rows(draw):
+    """1-4 rows of (p1, p2, cut_l, cut_r) over one random n."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        p1 = tuple(draw(st.permutations(range(n))))
+        p2 = tuple(draw(st.permutations(range(n))))
+        cut_l = draw(st.integers(0, n - 1))
+        rows.append((p1, p2, cut_l, draw(st.integers(cut_l + 1, n))))
+    return rows
+
+
+@st.composite
+def tournaments(draw):
+    """Population costs with many ties, and 1-6 rows of k drawn indices."""
+    costs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    k = draw(st.integers(1, 5))
+    index = st.integers(0, len(costs) - 1)
+    return costs, draw(st.lists(st.lists(index, min_size=k, max_size=k), min_size=1, max_size=6))
+
+
+class TestBatchedOperators:
+    @given(crossover_rows())
+    @example([((0,), (0,), 0, 1)])                  # n = 1
+    @example([((3, 0, 2, 1), (1, 2, 3, 0), 1, 4)])  # cut_r == n
+    @example([((2, 0, 1, 3), (3, 1, 0, 2), 0, 4),   # full segment
+              ((1, 0, 3, 2), (0, 1, 2, 3), 2, 3)])
+    def test_batched_crossover_equals_the_scalar_reference(self, rows):
+        p1, p2, cut_l, cut_r = (np.array(column) for column in zip(*rows))
+        children = order_crossover_rows(p1, p2, cut_l, cut_r)
+        assert [tuple(child) for child in children.tolist()] == \
+               [tm.order_crossover(*row) for row in rows]
+
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_batched_mutation_swaps_two_positions_per_row(self, n, count, seed):
+        rng = random.Random(seed)
+        tours = np.array([tm.random_tour(n, rng) for _ in range(count)])
+        mutated = swap_mutation_rows(tours, np.random.default_rng(seed))
+        for before, after in zip(tours.tolist(), mutated.tolist()):
+            tm.validate_tour(after, n)
+            assert sum(a != b for a, b in zip(before, after)) == 2
+
+    @given(st.integers(3, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from(tm.Metric))
+    def test_batched_scores_equal_cycle_length_bit_for_bit(self, n, seed, metric):
+        rng = random.Random(seed)
+        inst = tm.Instance.from_coords(
+            "r", [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(n)], metric)
+        m = tm.build_distance_matrix(inst)
+        tours = [tm.random_tour(n, rng) for _ in range(4)]
+        assert cycle_lengths(np.array(tours), m.d).tolist() == \
+               [cycle_length(t, m.rows()) for t in tours]
+
+    @given(tournaments())
+    def test_tournament_winner_is_the_lexicographic_minimum(self, costs_and_draws):
+        costs, draws = costs_and_draws
+        winners = tournament_winners(np.array(draws), np.array(costs, dtype=float))
+        assert winners.tolist() == [min(row, key=lambda i: (costs[i], i)) for row in draws]
 
 
 class TestSwapMutation:
@@ -99,6 +164,25 @@ class TestRunGa:
             tm.validate_tour(result.best_tour, inst.n)
             assert result.best_cost == tm.tour_length(
                 result.best_tour, tm.build_distance_matrix(inst))
+
+    @given(st.integers(1, 6), st.integers(1, 8).flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(0, p), st.integers(1, p))), st.integers(0, 99))
+    @example(5, (6, 6, 3), 0)  # elitism == population: no offspring
+    @example(5, (1, 0, 1), 0)  # population == 1
+    @example(1, (8, 2, 3), 0)
+    @example(2, (8, 2, 3), 0)
+    @example(3, (8, 2, 3), 0)
+    def test_valid_rescorable_result_at_the_edges(self, n, sizes, seed):
+        population, elitism, k = sizes
+        inst = random_instance(random.Random(seed), n)
+        cfg = tm.GaConfig(population=population, generations=6, elitism=elitism,
+                          tournament_k=k, mutation_rate=0.5, seed=seed)
+        result = tm.run_ga(inst, cfg)
+        tm.validate_tour(result.best_tour, n)
+        assert result.best_cost == tm.tour_length(result.best_tour, tm.build_distance_matrix(inst))
+        history = result.cost_history
+        assert len(history) == 7 and all(a >= b for a, b in zip(history, history[1:]))
+        assert result.evaluations == population + 6 * (population - elitism)
 
     @pytest.mark.parametrize("kwargs", [
         dict(population=0),
@@ -179,6 +263,10 @@ class TestRunSa:
         dict(initial_temp=-1.0),
         dict(initial_temp=0.5, min_temp=0.5),
         dict(iters_per_temp=0),
+        dict(min_temp=math.inf),
+        dict(min_temp=math.nan),
+        dict(initial_temp=math.inf),
+        dict(initial_temp=math.nan),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(tm.ConfigError):

@@ -96,6 +96,15 @@ class TestExperimentSpecValidation:
         with pytest.raises(tm.ConfigError):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
 
+    @pytest.mark.parametrize("reference", [0, -1.0, float("inf"), float("nan"), "x", [1]])
+    def test_bad_reference_cost(self, tmp_path, reference):
+        spec = json.loads((SPECS_DIR / "five_city_repro.json").read_text(encoding="utf-8"))
+        spec["reference_cost"] = reference
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        with pytest.raises(tm.ConfigError, match="reference_cost"):
+            tm.load_experiment_spec(p)
+
 
 class TestBuildAlgorithmConfig:
     def test_pso_with_enum_strings(self):

@@ -67,6 +67,15 @@ class TestSolve:
     def test_bad_config_exits_2(self, capsys):
         assert main(["solve", "--builtin-paper", "--w", "3.0"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--c1", "inf"], ["--c2", "nan"],
+        ["--algo", "sa", "--min-temp", "inf"], ["--algo", "sa", "--initial-temp", "inf"],
+    ])
+    def test_non_finite_config_exits_2(self, capsys, flags):
+        assert main(["solve", "--builtin-paper", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "internal error" not in captured.err
+
 
 class TestExact:
     def test_builtin(self, capsys):

@@ -173,7 +173,7 @@ class TestParseTourFile:
 
 
 class TestParsingIsTotal:
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(st.text(max_size=400))
     def test_tsplib_never_crashes(self, text):
         try:
@@ -182,7 +182,7 @@ class TestParsingIsTotal:
             return
         assert inst.n >= 1
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(st.text(max_size=400))
     def test_csv_never_crashes(self, text):
         try:
