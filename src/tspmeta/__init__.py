@@ -49,7 +49,6 @@ from .pso import (
     SwapSequence,
     SwarmConfig,
     SwarmState,
-    WSchedule,
     apply_swaps,
     stochastic_scale,
     swap_difference,

@@ -15,17 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .instance import (
-    Instance,
-    Tour,
-    build_distance_matrix,
-    canonicalize,
-    cycle_length,
-    cycle_lengths,
-    random_tour,
-    tour_length,
-)
-from .pso import RunResult
+from .instance import Instance, Tour, build_distance_matrix, cycle_length, cycle_lengths, random_tour
+from .pso import RunResult, finish_run
 
 
 @dataclass(frozen=True)
@@ -201,15 +192,7 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
             best_tour, best_cost = population[best], costs[best]
         history.append(float(best_cost))
 
-    final_tour = canonicalize(tuple(best_tour.tolist()))
-    return RunResult(
-        best_tour=final_tour,
-        best_cost=tour_length(final_tour, m),
-        iterations_run=cfg.generations,
-        cost_history=tuple(history),
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-    )
+    return finish_run(tuple(best_tour.tolist()), m, cfg.generations, history, evaluations, start)
 
 
 def sa_accept(delta: float, temp: float, rng: random.Random) -> bool:
@@ -264,12 +247,9 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     best_tour, best_cost = tuple(order), current
     history = [best_cost]
 
-    if n <= 2:  # no non-degenerate reversal exists
-        final = canonicalize(best_tour)
-        return RunResult(final, tour_length(final, m), 0, tuple(history),
-                         evaluations, time.perf_counter() - start)
-
-    if cfg.initial_temp is not None:
+    if n <= 2:  # no non-degenerate reversal exists: start below min_temp
+        temp = 0.0
+    elif cfg.initial_temp is not None:
         temp = cfg.initial_temp
     else:
         samples = []
@@ -298,12 +278,4 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
         levels += 1
         history.append(best_cost)
 
-    final = canonicalize(best_tour)
-    return RunResult(
-        best_tour=final,
-        best_cost=tour_length(final, m),
-        iterations_run=levels,
-        cost_history=tuple(history),
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-    )
+    return finish_run(best_tour, m, levels, history, evaluations, start)

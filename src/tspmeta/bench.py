@@ -9,25 +9,41 @@ summary), both byte-stable apart from wall-time fields.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import statistics
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .baselines import GaConfig, SaConfig, run_ga, run_sa
 from .errors import ConfigError
 from .instance import Instance, Tour, build_distance_matrix, tour_length
-from .pso import LocalSearch, SwarmConfig, WSchedule, run as run_pso
+from .pso import RunResult, SwarmConfig, run as run_pso
 from .tsplib import five_city_instance, load_instance_file
 
 BUILTIN_INSTANCE_MARKER = "builtin-paper"
 THREADS_ENV_VAR = "TSPMETA_BENCH_THREADS"
 
-_ALGORITHM_KINDS = ("pso", "ga", "sa")
+
+class Solver(NamedTuple):
+    config_class: type
+    run: Callable[[Instance, typing.Any], RunResult]
+
+
+# The one place that maps an algorithm kind to its config and its runner;
+# the CLI's `solve --algo` choices come from here too.
+SOLVERS = {
+    "pso": Solver(SwarmConfig, run_pso),
+    "ga": Solver(GaConfig, run_ga),
+    "sa": Solver(SaConfig, run_sa),
+}
 
 
 @dataclass(frozen=True)
@@ -54,8 +70,16 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ConfigError(f"algorithm names must be unique, got {names}")
         for a in self.algorithms:
-            if a.kind not in _ALGORITHM_KINDS:
+            # names are written unquoted into CSV rows, one record per line
+            if not isinstance(a.name, str) or a.name.splitlines() != [a.name] \
+                    or "," in a.name or '"' in a.name:
+                raise ConfigError("algorithm names must be non-empty text without ',', "
+                                  f"'\"' or line breaks, got {a.name!r}")
+            if a.kind not in SOLVERS:
                 raise ConfigError(f"unknown algorithm kind {a.kind!r}")
+            if not isinstance(a.config, SOLVERS[a.kind].config_class):
+                raise ConfigError(f"algorithm {a.name!r} of kind {a.kind!r} has a "
+                                  f"{type(a.config).__name__}")
         if self.reference_cost is not None and not (
                 math.isfinite(self.reference_cost) and self.reference_cost > 0):
             raise ConfigError(f"reference_cost must be finite and > 0, got {self.reference_cost!r}")
@@ -83,43 +107,71 @@ class SummaryStats:
     gap_percent: float | None
 
 
-_CONFIG_CLASSES = {"pso": SwarmConfig, "ga": GaConfig, "sa": SaConfig}
-_RUNNERS = {"pso": run_pso, "ga": run_ga, "sa": run_sa}
-_ENUM_FIELDS = {"local_search": LocalSearch, "w_schedule": WSchedule}
+def _describe(t: type) -> str:
+    if t is int:
+        return "an integer"
+    if t is float:
+        return "a number"
+    if issubclass(t, Enum):
+        return f"one of {[e.value for e in t]}"
+    return "null"
+
+
+def _check_type(key: str, value, hint):
+    """value as the type hint (int, float, an Enum, or X | None) asks for.
+
+    An int takes an int but not a bool; a float takes an int or a float
+    (returned as a float) but not a bool; an Enum takes a member or its
+    value; None passes only where the hint allows it. Anything else raises
+    ConfigError naming the key and the expected type. Ranges are left to
+    the dataclasses that use the value.
+    """
+    options = typing.get_args(hint) or (hint,)
+    for t in options:
+        if value is None and t is type(None):
+            return None
+        if isinstance(value, bool):
+            continue
+        if t is int and isinstance(value, int):
+            return value
+        if t is float and isinstance(value, (int, float)):
+            with contextlib.suppress(OverflowError):  # an int too large for a float
+                return float(value)
+        if issubclass(t, Enum) and isinstance(value, (t, str)):
+            with contextlib.suppress(ValueError):
+                return t(value)
+    expected = " or ".join(_describe(t) for t in options)
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
 def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | SaConfig:
-    """Turn a spec-file params mapping into the right config dataclass.
+    """Turn a params mapping (a spec's, or the solve flags given) into the
+    config dataclass of that kind, checking each value with _check_type.
 
     Unknown keys are rejected, and 'seed' is rejected too: trial seeds are
     derived from base_seed so specs stay order-independent.
     """
-    cls = _CONFIG_CLASSES.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown algorithm kind {kind!r} (expected one of {_ALGORITHM_KINDS})")
+    solver = SOLVERS.get(kind) if isinstance(kind, str) else None
+    if solver is None:
+        raise ConfigError(f"unknown algorithm kind {kind!r} (expected one of {tuple(SOLVERS)})")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{kind} params must be an object, got {params!r}")
     if "seed" in params:
         raise ConfigError("per-algorithm 'seed' is not allowed; seeds derive from base_seed")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(params) - allowed
+    hints = typing.get_type_hints(solver.config_class)
+    unknown = set(params) - {f.name for f in fields(solver.config_class)}
     if unknown:
         raise ConfigError(f"unknown {kind} parameter(s): {sorted(unknown)}")
-    kwargs = {}
-    for key, value in params.items():
-        enum_cls = _ENUM_FIELDS.get(key)
-        if enum_cls is not None and isinstance(value, str):
-            try:
-                value = enum_cls(value)
-            except ValueError:
-                choices = [e.value for e in enum_cls]
-                raise ConfigError(f"{key} must be one of {choices}, got {value!r}") from None
-        kwargs[key] = value
-    return cls(**kwargs)
+    return solver.config_class(**{key: _check_type(key, value, hints[key])
+                                  for key, value in params.items()})
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read an experiment spec from a JSON file. See README for the schema."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"experiment spec is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"experiment spec is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -131,10 +183,11 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     try:
         instance_source = doc["instance"]
         algorithms_doc = doc["algorithms"]
-        runs = int(doc["runs_per_algorithm"])
-        base_seed = int(doc["base_seed"])
+        runs = _check_type("runs_per_algorithm", doc["runs_per_algorithm"], int)
+        base_seed = _check_type("base_seed", doc["base_seed"], int)
     except KeyError as exc:
         raise ConfigError(f"experiment spec is missing {exc.args[0]!r}") from None
+    reference = _check_type("reference_cost", doc.get("reference_cost"), float | None)
     entries = []
     if not isinstance(algorithms_doc, list):
         raise ConfigError("'algorithms' must be a list")
@@ -143,12 +196,6 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
             raise ConfigError("each algorithm needs 'name' and 'kind'")
         config = build_algorithm_config(item["kind"], item.get("params", {}))
         entries.append(AlgorithmEntry(item["name"], item["kind"], config))
-    reference = doc.get("reference_cost")
-    if reference is not None:
-        try:
-            reference = float(reference)
-        except (TypeError, ValueError):
-            raise ConfigError(f"reference_cost must be a number, got {reference!r}") from None
     return ExperimentSpec(
         instance_source=str(instance_source),
         algorithms=tuple(entries),
@@ -166,8 +213,7 @@ def resolve_instance(source: str) -> Instance:
 
 
 def _run_trial(instance: Instance, entry: AlgorithmEntry, seed: int, run_index: int) -> TrialRecord:
-    config = replace(entry.config, seed=seed)
-    result = _RUNNERS[entry.kind](instance, config)
+    result = SOLVERS[entry.kind].run(instance, replace(entry.config, seed=seed))
     return TrialRecord(
         algorithm=entry.name,
         run_index=run_index,
@@ -184,19 +230,26 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Tri
     """Run every trial and return records sorted by (algorithm, run_index).
 
     threads defaults to the TSPMETA_BENCH_THREADS environment variable
-    (sequential when unset). Trials are seed-isolated, so the worker count
-    never changes the records.
+    (sequential when unset), and the pool never exceeds the number of jobs
+    or of CPUs. Trials are seed-isolated, so the worker count never changes
+    the records.
     """
     instance = resolve_instance(spec.instance_source)
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
+        raw = os.environ.get(THREADS_ENV_VAR) or "1"
+        with contextlib.suppress(json.JSONDecodeError):
+            raw = json.loads(raw)  # read like a spec value: "2" is 2, "2.5" and "abc" fail
+        threads = _check_type(THREADS_ENV_VAR, raw, int)
+    if threads < 1:
+        raise ConfigError(f"the worker count must be >= 1, got {threads}")
     jobs = [(entry, spec.base_seed + i, i)
             for entry in spec.algorithms for i in range(spec.runs_per_algorithm)]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
 
     records: list[TrialRecord]
-    if threads > 1:
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_trial, instance, e, s, i) for e, s, i in jobs]
                 records = [f.result() for f in futures]
         except OSError as exc:

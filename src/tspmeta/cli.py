@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .baselines import GaConfig, SaConfig, run_ga, run_sa
 from .errors import TspmetaError
 from .instance import Instance, Metric, Tour, brute_force_optimal, validate_tour
-from .pso import LocalSearch, SwarmConfig, WSchedule, run as run_pso
+from .pso import LocalSearch, SwarmConfig, run as run_pso
 from .svgplot import render_tour_svg
 from .tsplib import (
     five_city_instance,
@@ -53,44 +53,16 @@ def _format_tour(tour: Tour) -> str:
     return " -> ".join(ids + [ids[0]]) if ids else ""
 
 
-def _build_solver_config(args: argparse.Namespace):
-    if args.algo == "pso":
-        return SwarmConfig(
-            n_particles=args.particles,
-            max_iter=args.iterations,
-            w=args.w,
-            c1=args.c1,
-            c2=args.c2,
-            w_schedule=WSchedule.LINEAR_DECAY if args.w_end is not None else WSchedule.CONSTANT,
-            w_end=args.w_end,
-            local_search=LocalSearch(args.local_search),
-            seed=args.seed,
-            stagnation_limit=args.stagnation_limit,
-        )
-    if args.algo == "ga":
-        return GaConfig(
-            population=args.population,
-            generations=args.generations,
-            crossover_rate=args.crossover_rate,
-            mutation_rate=args.mutation_rate,
-            tournament_k=args.tournament_k,
-            elitism=args.elitism,
-            seed=args.seed,
-        )
-    return SaConfig(
-        initial_temp=args.initial_temp,
-        cooling=args.cooling,
-        iters_per_temp=args.iters_per_temp,
-        min_temp=args.min_temp,
-        seed=args.seed,
-    )
+# Every solver flag's dest is a config field name; a flag left out is absent
+# from the parsed args, so its value is the config dataclass's default.
+_SOLVER_FIELDS = {f.name for s in bench_mod.SOLVERS.values() for f in fields(s.config_class)}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    config = _build_solver_config(args)
-    runner = {"pso": run_pso, "ga": run_ga, "sa": run_sa}[args.algo]
-    result = runner(instance, config)
+    params = {k: v for k, v in vars(args).items() if k in _SOLVER_FIELDS and k != "seed"}
+    config = replace(bench_mod.build_algorithm_config(args.algo, params), seed=args.seed)
+    result = bench_mod.SOLVERS[args.algo].run(instance, config)
     if args.format == "json":
         doc = {
             "instance": instance.name,
@@ -202,34 +174,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run a metaheuristic on an instance")
     _add_instance_args(p_solve)
-    p_solve.add_argument("--algo", choices=("pso", "ga", "sa"), default="pso")
+    p_solve.add_argument("--algo", choices=tuple(bench_mod.SOLVERS), default="pso")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--format", choices=("text", "json"), default="text")
-    pso_group = p_solve.add_argument_group("pso options")
-    pso_group.add_argument("--particles", type=int, default=30)
-    pso_group.add_argument("--iterations", type=int, default=100)
-    pso_group.add_argument("--w", type=float, default=0.8, help="inertia factor")
-    pso_group.add_argument("--c1", type=float, default=2.0)
-    pso_group.add_argument("--c2", type=float, default=2.0)
-    pso_group.add_argument("--w-end", type=float, default=None,
-                           help="final inertia; enables linear decay")
-    pso_group.add_argument("--local-search", default="two-opt-gbest",
-                           choices=[m.value for m in LocalSearch])
-    pso_group.add_argument("--stagnation-limit", type=int, default=None)
-    ga_group = p_solve.add_argument_group("ga options")
-    ga_group.add_argument("--population", type=int, default=50)
-    ga_group.add_argument("--generations", type=int, default=200)
-    ga_group.add_argument("--crossover-rate", type=float, default=0.9)
-    ga_group.add_argument("--mutation-rate", type=float, default=0.2)
-    ga_group.add_argument("--tournament-k", type=int, default=3)
-    ga_group.add_argument("--elitism", type=int, default=2)
-    sa_group = p_solve.add_argument_group("sa options")
-    sa_group.add_argument("--initial-temp", type=float, default=None,
+    pso_group = p_solve.add_argument_group("pso options", argument_default=argparse.SUPPRESS)
+    pso_group.add_argument("--particles", dest="n_particles", type=int)
+    pso_group.add_argument("--iterations", dest="max_iter", type=int)
+    pso_group.add_argument("--w", type=float, help="inertia factor")
+    pso_group.add_argument("--c1", type=float)
+    pso_group.add_argument("--c2", type=float)
+    pso_group.add_argument("--w-end", type=float, help="final inertia; enables linear decay")
+    pso_group.add_argument("--local-search", choices=[m.value for m in LocalSearch])
+    pso_group.add_argument("--stagnation-limit", type=int)
+    ga_group = p_solve.add_argument_group("ga options", argument_default=argparse.SUPPRESS)
+    ga_group.add_argument("--population", type=int)
+    ga_group.add_argument("--generations", type=int)
+    ga_group.add_argument("--crossover-rate", type=float)
+    ga_group.add_argument("--mutation-rate", type=float)
+    ga_group.add_argument("--tournament-k", type=int)
+    ga_group.add_argument("--elitism", type=int)
+    sa_group = p_solve.add_argument_group("sa options", argument_default=argparse.SUPPRESS)
+    sa_group.add_argument("--initial-temp", type=float,
                           help="starting temperature (default: auto from sampled deltas)")
-    sa_group.add_argument("--cooling", type=float, default=0.995)
-    sa_group.add_argument("--iters-per-temp", type=int, default=None,
+    sa_group.add_argument("--cooling", type=float)
+    sa_group.add_argument("--iters-per-temp", type=int,
                           help="proposals per temperature level (default: n^2)")
-    sa_group.add_argument("--min-temp", type=float, default=1e-3)
+    sa_group.add_argument("--min-temp", type=float)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_exact = sub.add_parser("exact", help="exact optimum by exhaustive enumeration (n <= 12)")

@@ -49,11 +49,6 @@ class LocalSearch(Enum):
     THREE_OPT_GBEST = "three-opt-gbest"
 
 
-class WSchedule(Enum):
-    CONSTANT = "constant"
-    LINEAR_DECAY = "linear-decay"
-
-
 @dataclass(frozen=True)
 class SwarmConfig:
     n_particles: int = 30
@@ -61,8 +56,7 @@ class SwarmConfig:
     w: float = 0.8
     c1: float = 2.0
     c2: float = 2.0
-    w_schedule: WSchedule = WSchedule.CONSTANT
-    w_end: float | None = None
+    w_end: float | None = None  # set: inertia decays linearly from w to w_end
     local_search: LocalSearch = LocalSearch.TWO_OPT_GBEST
     seed: int = 0
     stagnation_limit: int | None = None
@@ -78,9 +72,8 @@ class SwarmConfig:
             raise ConfigError("w must be in [0, 1]")
         if self.c1 < 0 or self.c2 < 0:
             raise ConfigError("c1 and c2 must be >= 0")
-        if self.w_schedule is WSchedule.LINEAR_DECAY:
-            if self.w_end is None or not 0.0 <= self.w_end <= self.w:
-                raise ConfigError("linear decay needs 0 <= w_end <= w")
+        if self.w_end is not None and not 0.0 <= self.w_end <= self.w:
+            raise ConfigError("w_end must be in [0, w] when set")
         if self.stagnation_limit is not None and self.stagnation_limit < 1:
             raise ConfigError("stagnation_limit must be >= 1 when set")
 
@@ -99,7 +92,6 @@ class SwarmState:
     gbest: Tour
     gbest_cost: float
     iteration: int
-    cost_history: tuple[float, ...]
     evaluations: int
 
 
@@ -111,6 +103,15 @@ class RunResult:
     cost_history: tuple[float, ...]
     evaluations: int
     wall_time: float
+
+
+def finish_run(best: Tour, m: DistanceMatrix, iterations: int, history: list[float],
+               evaluations: int, start: float) -> RunResult:
+    """The shared end of every solver run: canonicalize the best tour,
+    re-score it with the sequential sum, and time the run from start."""
+    best_tour = canonicalize(best)
+    return RunResult(best_tour, tour_length(best_tour, m), iterations, tuple(history),
+                     evaluations, time.perf_counter() - start)
 
 
 def swap_difference(frm: Tour, to: Tour) -> SwapSequence:
@@ -179,7 +180,7 @@ def velocity_update(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float
 
 
 def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
-    if cfg.w_schedule is WSchedule.LINEAR_DECAY and cfg.max_iter > 1:
+    if cfg.w_end is not None and cfg.max_iter > 1:
         return cfg.w + (cfg.w_end - cfg.w) * iteration / (cfg.max_iter - 1)
     return cfg.w
 
@@ -255,7 +256,6 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
         gbest=gbest,
         gbest_cost=gbest_cost,
         iteration=state.iteration + 1,
-        cost_history=state.cost_history + (gbest_cost,),
         evaluations=evaluations,
     )
 
@@ -279,7 +279,6 @@ def init_state(instance: Instance, cfg: SwarmConfig, m: DistanceMatrix,
         gbest=gbest,
         gbest_cost=gbest_cost,
         iteration=0,
-        cost_history=(gbest_cost,),
         evaluations=cfg.n_particles,
     )
 
@@ -290,25 +289,14 @@ def run(instance: Instance, cfg: SwarmConfig) -> RunResult:
     rng = random.Random(cfg.seed)
     m = build_distance_matrix(instance)
     state = init_state(instance, cfg, m, rng)
+    history = [state.gbest_cost]
 
     stagnant = 0
     for _ in range(cfg.max_iter):
-        before = state.gbest_cost
         state = step(state, cfg, m, rng)
-        if state.gbest_cost < before:
-            stagnant = 0
-        else:
-            stagnant += 1
+        stagnant = 0 if state.gbest_cost < history[-1] else stagnant + 1
+        history.append(state.gbest_cost)
         if cfg.stagnation_limit is not None and stagnant >= cfg.stagnation_limit:
             break
 
-    best_tour = canonicalize(state.gbest)
-    best_cost = tour_length(best_tour, m)
-    return RunResult(
-        best_tour=best_tour,
-        best_cost=best_cost,
-        iterations_run=state.iteration,
-        cost_history=state.cost_history,
-        evaluations=state.evaluations,
-        wall_time=time.perf_counter() - start,
-    )
+    return finish_run(state.gbest, m, state.iteration, history, state.evaluations, start)

@@ -226,7 +226,10 @@ def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
     """Load an instance from disk, dispatching on the file extension
     (.tsp/.tsplib use the TSPLIB parser, anything else the CSV parser)."""
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p.name} is not UTF-8 text: {exc}") from None
     if p.suffix.lower() in (".tsp", ".tsplib"):
         return parse_tsplib(text, source_name=p.name)
     return parse_coords_csv(text, name=p.stem, source_name=p.name)

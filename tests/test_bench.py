@@ -1,12 +1,25 @@
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 import tspmeta as tm
+from tspmeta import bench
 from tspmeta.bench import BUILTIN_INSTANCE_MARKER, build_algorithm_config
+from tspmeta.pso import _inertia_now
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def bundled_spec_doc() -> dict:
+    return json.loads((SPECS_DIR / "five_city_repro.json").read_text(encoding="utf-8"))
+
+
+def write_spec(tmp_path, doc) -> Path:
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    return p
 
 
 def small_pso_spec(runs=3, base_seed=0, reference=None):
@@ -20,6 +33,31 @@ def small_pso_spec(runs=3, base_seed=0, reference=None):
         base_seed=base_seed,
         reference_cost=reference,
     )
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with an in-process one; the list collects
+    the max_workers of every pool the harness asks for."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    return seen
 
 
 def make_record(algorithm, run_index, cost):
@@ -68,6 +106,36 @@ class TestRunExperiment:
         assert [(r.best_cost, r.seed) for r in both if r.algorithm == "pso"] == \
                [(r.best_cost, r.seed) for r in solo]
 
+    @pytest.mark.parametrize("threads, cpus, runs, expected", [
+        (64, 4, 3, [3]),     # no more workers than jobs
+        (64, 2, 5, [2]),     # no more workers than CPUs
+        (3, 8, 5, [3]),      # the requested count when it is the smallest
+        (64, None, 5, []),   # unknown CPU count: sequential, no pool
+        (1, 8, 5, []),
+    ])
+    def test_pool_size_is_clamped(self, monkeypatch, pool_sizes, threads, cpus, runs, expected):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        records = tm.run_experiment(small_pso_spec(runs=runs), threads=threads)
+        assert pool_sizes == expected
+        assert [r.run_index for r in records] == list(range(runs))
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "true", "[2]", "0"])
+    def test_bad_threads_env_var(self, monkeypatch, raw):
+        monkeypatch.setenv(bench.THREADS_ENV_VAR, raw)
+        with pytest.raises(tm.ConfigError, match="TSPMETA_BENCH_THREADS|worker count"):
+            tm.run_experiment(small_pso_spec(runs=1))
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_worker_count_below_one(self, threads):
+        with pytest.raises(tm.ConfigError, match="worker count"):
+            tm.run_experiment(small_pso_spec(runs=1), threads=threads)
+
+    def test_threads_env_var_read_as_integer(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv(bench.THREADS_ENV_VAR, " 2 ")
+        assert len(tm.run_experiment(small_pso_spec(runs=3))) == 3
+        assert pool_sizes == [2]
+
     def test_missing_instance_file_propagates(self):
         spec = tm.ExperimentSpec(
             "does-not-exist.csv",
@@ -95,6 +163,24 @@ class TestExperimentSpecValidation:
         entry = tm.AlgorithmEntry("x", "tabu", tm.SwarmConfig())
         with pytest.raises(tm.ConfigError):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
+
+    def test_config_must_match_kind(self):
+        entry = tm.AlgorithmEntry("x", "ga", tm.SwarmConfig())
+        with pytest.raises(tm.ConfigError, match="SwarmConfig"):
+            tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r", "\u2028", "", 5, None])
+    def test_bad_algorithm_name(self, name):
+        entry = tm.AlgorithmEntry(name, "pso", tm.SwarmConfig())
+        with pytest.raises(tm.ConfigError, match="algorithm names"):
+            tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
+
+    def test_comma_name_cannot_corrupt_the_csv(self, tmp_path):
+        # "a,b" used to give the row "a,b,0,0,15.15298,..." under a seven-column header
+        doc = bundled_spec_doc()
+        doc["algorithms"][0]["name"] = "a,b"
+        with pytest.raises(tm.ConfigError, match="algorithm names"):
+            tm.load_experiment_spec(write_spec(tmp_path, doc))
 
     @pytest.mark.parametrize("reference", [0, -1.0, float("inf"), float("nan"), "x", [1]])
     def test_bad_reference_cost(self, tmp_path, reference):
@@ -128,6 +214,33 @@ class TestBuildAlgorithmConfig:
         with pytest.raises(tm.ConfigError):
             build_algorithm_config("pso", {"local_search": "4-opt"})
 
+    def test_typed_values(self):
+        cfg = build_algorithm_config("pso", {"w": 1, "w_end": None,
+                                             "local_search": tm.LocalSearch.NONE})
+        assert cfg.w == 1.0 and type(cfg.w) is float
+        assert cfg.w_end is None
+        assert cfg.local_search is tm.LocalSearch.NONE
+        cfg = build_algorithm_config("sa", {"initial_temp": 5, "iters_per_temp": None})
+        assert cfg.initial_temp == 5.0 and type(cfg.initial_temp) is float
+
+    def test_w_end_in_params_turns_on_decay(self):
+        cfg = build_algorithm_config("pso", {"w_end": 0.1})
+        assert _inertia_now(cfg, 0) == 0.8
+        assert _inertia_now(cfg, cfg.max_iter - 1) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("pso", {"w": 10 ** 400}),
+        ("pso", {"w": None}),
+        ("pso", {"c1": "2.0"}),
+        ("ga", {"population": 50.0}),
+        ("sa", {"iters_per_temp": False}),
+        ("pso", 5),
+        (["pso"], {}),
+    ])
+    def test_wrong_types(self, kind, params):
+        with pytest.raises(tm.ConfigError):
+            build_algorithm_config(kind, params)
+
 
 class TestLoadExperimentSpec:
     def test_bundled_spec_loads(self):
@@ -148,6 +261,30 @@ class TestLoadExperimentSpec:
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"instance": "builtin-paper"}))
         with pytest.raises(tm.ConfigError):
+            tm.load_experiment_spec(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_particles", "30"),
+        ("max_iter", 2.0),
+        ("n_particles", 3.5),
+        ("local_search", 3),
+        ("n_particles", True),
+        ("runs_per_algorithm", "x"),
+        ("base_seed", 1.7),
+    ])
+    def test_mistyped_value(self, tmp_path, key, value):
+        doc = bundled_spec_doc()
+        if key in doc:
+            doc[key] = value
+        else:
+            doc["algorithms"][0]["params"][key] = value
+        with pytest.raises(tm.ConfigError, match=key):
+            tm.load_experiment_spec(write_spec(tmp_path, doc))
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_bytes(b'{"instance": "\xff"}')
+        with pytest.raises(tm.ConfigError, match="UTF-8"):
             tm.load_experiment_spec(p)
 
     def test_unknown_key(self, tmp_path):

@@ -76,6 +76,38 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == "" and "internal error" not in captured.err
 
+    def test_flag_of_another_solver_exits_2(self, capsys):
+        assert main(["solve", "--builtin-paper", "--algo", "ga", "--particles", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown ga parameter(s): ['n_particles']")
+
+    @pytest.mark.parametrize("name", ["bad.csv", "bad.tsp"])
+    def test_non_utf8_instance_exits_2(self, tmp_path, capsys, name):
+        p = tmp_path / name
+        p.write_bytes(b"0,0\n1,\xff\n")
+        assert main(["solve", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "UTF-8" in captured.err
+
+    def test_w_end_flag_matches_spec_w_end(self, tmp_path, capsys):
+        # --w-end and a spec's "w_end" both turn on the decay, so they agree
+        flags = ["--w", "0.9", "--w-end", "0.1", "--local-search", "none", "--iterations", "40"]
+        assert main(["solve", "--builtin-paper", "--format", "json", *flags]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc["runs_per_algorithm"] = 1
+        doc["algorithms"][0]["params"] = {"w": 0.9, "w_end": 0.1, "local_search": "none",
+                                          "max_iter": 40}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out_json = tmp_path / "report.json"
+        assert main(["bench", str(spec), "--out-json", str(out_json)]) == 0
+        (record,) = json.loads(out_json.read_text())["records"]
+        assert (record["best_tour"], record["best_cost"], record["evaluations"]) == \
+               (solved["best_tour"], solved["best_cost"], solved["evaluations"])
+
 
 class TestExact:
     def test_builtin(self, capsys):
@@ -133,6 +165,31 @@ class TestBench:
 
     def test_missing_spec_exits_2(self):
         assert main(["bench", "nope.json"]) == 2
+
+    def test_non_utf8_spec_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_bytes(b'{"instance": "\xff"}')
+        assert main(["bench", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("spec", "runs_per_algorithm", "x"), ("spec", "base_seed", 1.7),
+        ("params", "n_particles", "30"), ("params", "local_search", 3), ("entry", "name", "a,b"),
+    ])
+    def test_mistyped_spec_exits_2(self, tmp_path, capsys, where, key, value):
+        doc = json.loads(BUNDLED_SPEC.read_text())
+        entry = doc["algorithms"][0]
+        {"spec": doc, "entry": entry, "params": entry["params"]}[where][key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["bench", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_bad_threads_env_var_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TSPMETA_BENCH_THREADS", "abc")
+        assert main(["bench", str(BUNDLED_SPEC)]) == 2
+        assert capsys.readouterr().err.startswith("error: TSPMETA_BENCH_THREADS must be an integer")
 
     def test_unwritable_output_exits_2(self, tmp_path):
         assert main(["bench", str(BUNDLED_SPEC),

@@ -134,13 +134,12 @@ class TestStep:
         opt = (0, 1, 2, 3, 4)
         cost = tm.tour_length(opt, m)
         particles = tuple(tm.Particle(opt, (), opt, cost) for _ in range(4))
-        state = tm.SwarmState(particles, opt, cost, 0, (cost,), 4)
+        state = tm.SwarmState(particles, opt, cost, 0, 4)
         after = tm.pso_step(state, cfg, m, random.Random(0))
         assert after.iteration == 1
         assert after.gbest == opt
         assert after.gbest_cost == cost
         assert all(p.position == opt for p in after.particles)
-        assert after.cost_history == (cost, cost)
 
     def test_gbest_never_worsens(self, five_city):
         m = tm.build_distance_matrix(five_city)
@@ -243,16 +242,22 @@ class TestInertiaSchedule:
         assert _inertia_now(cfg, 99) == 0.8
 
     def test_linear_decay_endpoints(self):
-        cfg = tm.SwarmConfig(w=0.9, w_end=0.3, w_schedule=tm.WSchedule.LINEAR_DECAY,
-                             max_iter=101)
+        cfg = tm.SwarmConfig(w=0.9, w_end=0.3, max_iter=101)
         assert _inertia_now(cfg, 0) == pytest.approx(0.9)
         assert _inertia_now(cfg, 50) == pytest.approx(0.6)
         assert _inertia_now(cfg, 100) == pytest.approx(0.3)
 
     def test_linear_decay_run_reaches_optimum(self, five_city):
-        cfg = tm.SwarmConfig(w=0.9, w_end=0.2, w_schedule=tm.WSchedule.LINEAR_DECAY, seed=0)
+        cfg = tm.SwarmConfig(w=0.9, w_end=0.2, seed=0)
         result = tm.run_pso(five_city, cfg)
         assert result.best_cost == pytest.approx(FIVE_CITY_OPT_COST, abs=1e-9)
+
+    def test_w_end_alone_decays_inertia(self):
+        cfg = tm.SwarmConfig(w_end=0.3)
+        schedule = [_inertia_now(cfg, i) for i in range(cfg.max_iter)]
+        assert schedule[0] == cfg.w
+        assert schedule[-1] == pytest.approx(0.3)
+        assert all(a > b for a, b in zip(schedule, schedule[1:]))
 
 
 class TestSwarmConfigValidation:
@@ -262,8 +267,8 @@ class TestSwarmConfigValidation:
         dict(w=1.5),
         dict(w=-0.1),
         dict(c1=-1),
-        dict(w_schedule=tm.WSchedule.LINEAR_DECAY),  # missing w_end
-        dict(w_schedule=tm.WSchedule.LINEAR_DECAY, w_end=0.9, w=0.5),
+        dict(w_end=-0.1),
+        dict(w_end=0.9, w=0.5),
         dict(stagnation_limit=0),
     ])
     def test_rejects(self, kwargs):
