@@ -32,6 +32,7 @@ from .instance import (
     DistanceMatrix,
     Instance,
     Metric,
+    RunResult,
     Tour,
     brute_force_optimal,
     build_distance_matrix,
@@ -45,7 +46,6 @@ from .localsearch import three_opt, two_opt
 from .pso import (
     LocalSearch,
     Particle,
-    RunResult,
     SwapSequence,
     SwarmConfig,
     SwarmState,

@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 import random
 import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .instance import Instance, Tour, build_distance_matrix, cycle_length, cycle_lengths, random_tour
-from .pso import RunResult, finish_run
+from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
+                       random_tour, run_search)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,8 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
     """Generational GA. Per generation: carry the elite, then fill with
     offspring (tournament parents; OX1 with probability crossover_rate, else
     a copy of parent 1; swap mutation with probability mutation_rate).
-    Tracks the best-ever tour, so the history never increases.
+    Tracks the best-ever tour, whose cost run_search records at the start
+    and once per generation, so the history never increases.
 
     The initial population comes from random_tour on random.Random(seed).
     Every later draw comes from a numpy Generator seeded by the next 64 bits
@@ -156,9 +156,10 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
     swap_mutation. Costs come from cycle_lengths, so every recorded cost is
     the sequential sum cycle_length gives.
     """
-    start = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    m = build_distance_matrix(instance)
+    return run_search(instance, cfg, _ga_search)
+
+
+def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random.Random):
     n, size = instance.n, cfg.population
     elite, count = cfg.elitism, size - cfg.elitism
 
@@ -168,8 +169,8 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
     evaluations = size
 
     best = int(np.argmin(costs))
-    best_tour, best_cost = population[best], costs[best]
-    history = [float(best_cost)]
+    best_tour, best_cost = tuple(population[best].tolist()), float(costs[best])
+    yield best_tour, best_cost, evaluations
 
     for _ in range(cfg.generations):
         kept = np.argsort(costs, kind="stable")[:elite]
@@ -189,10 +190,8 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
         evaluations += count
         best = int(np.argmin(costs))
         if costs[best] < best_cost:
-            best_tour, best_cost = population[best], costs[best]
-        history.append(float(best_cost))
-
-    return finish_run(tuple(best_tour.tolist()), m, cfg.generations, history, evaluations, start)
+            best_tour, best_cost = tuple(population[best].tolist()), float(costs[best])
+        yield best_tour, best_cost, evaluations
 
 
 def sa_accept(delta: float, temp: float, rng: random.Random) -> bool:
@@ -231,13 +230,14 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     AUTO initial temperature is the spread (population standard deviation)
     of 100 sampled random-reversal deltas at the starting tour. Each
     temperature level runs iters_per_temp proposals, then multiplies the
-    temperature by the cooling factor; the run stops at min_temp. The
-    history records the best-ever cost once per level. Evaluation counts
-    include every proposed neighbor.
+    temperature by the cooling factor; the run stops at min_temp. run_search
+    records the best-ever cost at the start and once per level. Evaluation
+    counts include every proposed neighbor.
     """
-    start = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    m = build_distance_matrix(instance)
+    return run_search(instance, cfg, _sa_search)
+
+
+def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random.Random):
     rows = m.rows()
     n = instance.n
 
@@ -245,11 +245,10 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     current = cycle_length(order, rows)
     evaluations = 1
     best_tour, best_cost = tuple(order), current
-    history = [best_cost]
-
-    if n <= 2:  # no non-degenerate reversal exists: start below min_temp
-        temp = 0.0
-    elif cfg.initial_temp is not None:
+    yield best_tour, best_cost, evaluations
+    if n <= 2:  # no non-degenerate reversal exists
+        return
+    if cfg.initial_temp is not None:
         temp = cfg.initial_temp
     else:
         samples = []
@@ -259,7 +258,6 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
         temp = statistics.pstdev(samples)
 
     iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n
-    levels = 0
     while temp > cfg.min_temp:
         for _ in range(iters):
             i, j = _draw_reversal(n, rng)
@@ -275,7 +273,4 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
                         best_tour, best_cost = tuple(order), actual
         current = cycle_length(order, rows)  # shed accumulated float drift
         temp *= cfg.cooling
-        levels += 1
-        history.append(best_cost)
-
-    return finish_run(best_tour, m, levels, history, evaluations, start)
+        yield best_tour, best_cost, evaluations

@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 
 from .baselines import GaConfig, SaConfig, run_ga, run_sa
 from .errors import ConfigError
-from .instance import Instance, Tour, build_distance_matrix, tour_length
-from .pso import RunResult, SwarmConfig, run as run_pso
+from .instance import Instance, RunResult, Tour, build_distance_matrix, tour_length
+from .pso import SwarmConfig, run as run_pso
 from .tsplib import five_city_instance, load_instance_file
 
 BUILTIN_INSTANCE_MARKER = "builtin-paper"
@@ -112,19 +112,21 @@ def _describe(t: type) -> str:
         return "an integer"
     if t is float:
         return "a number"
+    if t is str:
+        return "a string"
     if issubclass(t, Enum):
         return f"one of {[e.value for e in t]}"
     return "null"
 
 
 def _check_type(key: str, value, hint):
-    """value as the type hint (int, float, an Enum, or X | None) asks for.
+    """value as the type hint (int, float, str, an Enum, or X | None) asks for.
 
-    An int takes an int but not a bool; a float takes an int or a float
-    (returned as a float) but not a bool; an Enum takes a member or its
-    value; None passes only where the hint allows it. Anything else raises
-    ConfigError naming the key and the expected type. Ranges are left to
-    the dataclasses that use the value.
+    An int takes an int but not a bool; a str takes only a str; a float
+    takes an int or a float (returned as a float) but not a bool; an Enum
+    takes a member or its value; None passes only where the hint allows it.
+    Anything else raises ConfigError naming the key and the expected type.
+    Ranges are left to the dataclasses that use the value.
     """
     options = typing.get_args(hint) or (hint,)
     for t in options:
@@ -132,7 +134,7 @@ def _check_type(key: str, value, hint):
             return None
         if isinstance(value, bool):
             continue
-        if t is int and isinstance(value, int):
+        if t in (int, str) and isinstance(value, t):
             return value
         if t is float and isinstance(value, (int, float)):
             with contextlib.suppress(OverflowError):  # an int too large for a float
@@ -181,7 +183,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     if unknown:
         raise ConfigError(f"unknown experiment spec key(s): {sorted(unknown)}")
     try:
-        instance_source = doc["instance"]
+        instance_source = _check_type("instance", doc["instance"], str)
         algorithms_doc = doc["algorithms"]
         runs = _check_type("runs_per_algorithm", doc["runs_per_algorithm"], int)
         base_seed = _check_type("base_seed", doc["base_seed"], int)
@@ -197,7 +199,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         config = build_algorithm_config(item["kind"], item.get("params", {}))
         entries.append(AlgorithmEntry(item["name"], item["kind"], config))
     return ExperimentSpec(
-        instance_source=str(instance_source),
+        instance_source=instance_source,
         algorithms=tuple(entries),
         runs_per_algorithm=runs,
         base_seed=base_seed,

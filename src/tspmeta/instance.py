@@ -1,4 +1,4 @@
-"""TSP instances, distance matrices, tours, and the exact small-instance solver.
+"""TSP instances, distance matrices, tours, the exact oracle, and run_search.
 
 A tour is a plain tuple of 0-based city indices; the return edge to the
 first city is implicit. Undirected-cycle equality is decided by comparing
@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -208,3 +210,31 @@ def random_tour(n: int, rng: random.Random) -> Tour:
     order = list(range(n))
     rng.shuffle(order)
     return tuple(order)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    best_tour: Tour
+    best_cost: float
+    iterations_run: int
+    cost_history: tuple[float, ...]
+    evaluations: int
+    wall_time: float
+
+
+def run_search(instance: Instance, cfg: Any,
+               search: Callable[..., Iterator[tuple[Tour, float, int]]]) -> RunResult:
+    """The one run of every metaheuristic: search(instance, cfg, matrix,
+    random.Random(cfg.seed)) yields (best tour, best cost, evaluations) at its
+    start and once per iteration; the costs are the history, so iterations_run
+    is its length minus one. The last best tour is canonicalized, re-scored
+    with the sequential sum and returned with the run's wall time."""
+    start = time.perf_counter()
+    rng = random.Random(cfg.seed)
+    m = build_distance_matrix(instance)
+    history = []
+    for best, cost, evaluations in search(instance, cfg, m, rng):
+        history.append(cost)
+    best_tour = canonicalize(best)
+    return RunResult(best_tour, tour_length(best_tour, m), len(history) - 1, tuple(history),
+                     evaluations, time.perf_counter() - start)

@@ -15,28 +15,20 @@ shuffles tours for particles 0..n-1 in order; each step then consumes, per
 particle in index order, exactly two uniforms per term (magnitude draw,
 fractional-acceptance draw) for inertia, cognitive, and social terms, in
 that order. Every recorded cost comes from the canonical sequential
-summation, so identical seeds give bit-identical results.
+summation, so identical seeds give bit-identical results. run hands the
+swarm to instance.run_search, which records the gbest cost at the start and
+once per step as the cost history.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, DimensionMismatchError
-from .instance import (
-    DistanceMatrix,
-    Instance,
-    Tour,
-    build_distance_matrix,
-    canonicalize,
-    cycle_length,
-    random_tour,
-    tour_length,
-)
+from .instance import DistanceMatrix, Instance, RunResult, Tour, cycle_length, random_tour, run_search
 from .localsearch import three_opt, two_opt
 
 SwapSequence = tuple[tuple[int, int], ...]
@@ -93,25 +85,6 @@ class SwarmState:
     gbest_cost: float
     iteration: int
     evaluations: int
-
-
-@dataclass(frozen=True)
-class RunResult:
-    best_tour: Tour
-    best_cost: float
-    iterations_run: int
-    cost_history: tuple[float, ...]
-    evaluations: int
-    wall_time: float
-
-
-def finish_run(best: Tour, m: DistanceMatrix, iterations: int, history: list[float],
-               evaluations: int, start: float) -> RunResult:
-    """The shared end of every solver run: canonicalize the best tour,
-    re-score it with the sequential sum, and time the run from start."""
-    best_tour = canonicalize(best)
-    return RunResult(best_tour, tour_length(best_tour, m), iterations, tuple(history),
-                     evaluations, time.perf_counter() - start)
 
 
 def swap_difference(frm: Tour, to: Tour) -> SwapSequence:
@@ -283,20 +256,19 @@ def init_state(instance: Instance, cfg: SwarmConfig, m: DistanceMatrix,
     )
 
 
-def run(instance: Instance, cfg: SwarmConfig) -> RunResult:
-    """Full optimization run; deterministic given (instance, cfg)."""
-    start = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    m = build_distance_matrix(instance)
+def _search(instance: Instance, cfg: SwarmConfig, m: DistanceMatrix, rng: random.Random):
     state = init_state(instance, cfg, m, rng)
-    history = [state.gbest_cost]
-
+    yield state.gbest, state.gbest_cost, state.evaluations
     stagnant = 0
     for _ in range(cfg.max_iter):
+        before = state.gbest_cost
         state = step(state, cfg, m, rng)
-        stagnant = 0 if state.gbest_cost < history[-1] else stagnant + 1
-        history.append(state.gbest_cost)
+        stagnant = 0 if state.gbest_cost < before else stagnant + 1
+        yield state.gbest, state.gbest_cost, state.evaluations
         if cfg.stagnation_limit is not None and stagnant >= cfg.stagnation_limit:
-            break
+            return
 
-    return finish_run(state.gbest, m, state.iteration, history, state.evaluations, start)
+
+def run(instance: Instance, cfg: SwarmConfig) -> RunResult:
+    """Full optimization run; deterministic given (instance, cfg)."""
+    return run_search(instance, cfg, _search)

@@ -1,20 +1,12 @@
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import settings
+
+import tspmeta as tm
 
 # Property tests replay the same examples on every run and have no per-example
 # deadline, so a slow shared machine cannot make them flake.
 settings.register_profile("tspmeta", deadline=None, derandomize=True)
 settings.load_profile("tspmeta")
-
-# allow running the suite from a fresh checkout without installing
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-import tspmeta as tm  # noqa: E402
 
 
 @pytest.fixture

@@ -271,6 +271,8 @@ class TestLoadExperimentSpec:
         ("n_particles", True),
         ("runs_per_algorithm", "x"),
         ("base_seed", 1.7),
+        ("instance", 5),
+        ("instance", None),
     ])
     def test_mistyped_value(self, tmp_path, key, value):
         doc = bundled_spec_doc()

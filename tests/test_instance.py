@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,13 @@ from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295  # exhaustive enumeration over all 12 distinct tours
 FIVE_CITY_ALT_ROUTE_COST = 17.758533720546936  # route (0,1,4,3,2), hand edge sum
+
+# short runs of each solver that run_search drives; PSO may stop early on stagnation
+SEARCH_SOLVERS = {
+    "pso": (tm.run_pso, tm.SwarmConfig(n_particles=6, max_iter=20, stagnation_limit=4)),
+    "ga": (tm.run_ga, tm.GaConfig(population=10, generations=10)),
+    "sa": (tm.run_sa, tm.SaConfig(cooling=0.8)),
+}
 
 
 class TestBuildDistanceMatrix:
@@ -199,3 +207,25 @@ class TestInstanceValidation:
         cities = (tm.City(1, 0.0, 0.0), tm.City(0, 1.0, 1.0))
         with pytest.raises(ValueError):
             tm.Instance(name="bad", cities=cities)
+
+
+class TestRunSearch:
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("solver", sorted(SEARCH_SOLVERS))
+    def test_run_contract(self, solver, n):
+        run, cfg = SEARCH_SOLVERS[solver]
+        inst = random_instance(random.Random(n), n)
+        m = tm.build_distance_matrix(inst)
+        for seed in range(4):
+            result = run(inst, replace(cfg, seed=seed))
+            history = result.cost_history
+            assert result.best_tour == tm.canonicalize(result.best_tour)
+            assert tm.tour_length(result.best_tour, m) == result.best_cost
+            assert result.iterations_run == len(history) - 1
+            assert all(type(c) is float for c in history)
+            assert all(b <= a for a, b in zip(history, history[1:]))
+            # the history sums the rotation the solver held; best_cost sums the
+            # canonical one, so on a non-integer metric the last bits may differ
+            assert math.isclose(history[-1], result.best_cost, rel_tol=1e-12)
+            again = run(inst, replace(cfg, seed=seed))
+            assert replace(again, wall_time=0.0) == replace(result, wall_time=0.0)
