@@ -17,7 +17,7 @@ import statistics
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -214,7 +214,9 @@ def resolve_instance(source: str) -> Instance:
     return instance
 
 
-def _run_trial(instance: Instance, entry: AlgorithmEntry, seed: int, run_index: int) -> TrialRecord:
+def run_trial(instance: Instance, entry: AlgorithmEntry, seed: int, run_index: int) -> TrialRecord:
+    """One solver call: entry's config with this seed, as a record. Every
+    solver run of `solve`, `bench` and `plot --solve-first` goes through here."""
     result = SOLVERS[entry.kind].run(instance, replace(entry.config, seed=seed))
     return TrialRecord(
         algorithm=entry.name,
@@ -226,6 +228,13 @@ def _run_trial(instance: Instance, entry: AlgorithmEntry, seed: int, run_index: 
         evaluations=result.evaluations,
         wall_time=result.wall_time,
     )
+
+
+def record_fields(record: TrialRecord) -> dict:
+    """A record's JSON fields in TrialRecord's order, wall_time as wall_time_s."""
+    doc = asdict(record)
+    doc["wall_time_s"] = doc.pop("wall_time")
+    return doc
 
 
 def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[TrialRecord]:
@@ -248,17 +257,16 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Tri
             for entry in spec.algorithms for i in range(spec.runs_per_algorithm)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
 
-    records: list[TrialRecord]
+    records = None
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_trial, instance, e, s, i) for e, s, i in jobs]
+                futures = [pool.submit(run_trial, instance, e, s, i) for e, s, i in jobs]
                 records = [f.result() for f in futures]
         except OSError as exc:
             warnings.warn(f"process pool unavailable ({exc}); running trials sequentially")
-            records = [_run_trial(instance, e, s, i) for e, s, i in jobs]
-    else:
-        records = [_run_trial(instance, e, s, i) for e, s, i in jobs]
+    if records is None:
+        records = [run_trial(instance, e, s, i) for e, s, i in jobs]
 
     records.sort(key=lambda r: (r.algorithm, r.run_index))
 
@@ -309,31 +317,8 @@ def emit_csv(records: list[TrialRecord]) -> str:
 
 
 def emit_json(records: list[TrialRecord], stats: list[SummaryStats]) -> str:
-    """Records and summary as one JSON document with fixed key order."""
-    doc = {
-        "records": [
-            {
-                "algorithm": r.algorithm,
-                "run_index": r.run_index,
-                "seed": r.seed,
-                "best_cost": r.best_cost,
-                "best_tour": list(r.best_tour),
-                "iterations": r.iterations,
-                "evaluations": r.evaluations,
-                "wall_time_s": r.wall_time,
-            }
-            for r in records
-        ],
-        "summary": [
-            {
-                "algorithm": s.algorithm,
-                "mean": s.mean,
-                "sample_std": s.sample_std,
-                "best": s.best,
-                "worst": s.worst,
-                "gap_percent": s.gap_percent,
-            }
-            for s in stats
-        ],
-    }
+    """Records (see record_fields) and summary as one JSON document; keys
+    follow the dataclasses' field order."""
+    doc = {"records": [record_fields(r) for r in records],
+           "summary": [asdict(s) for s in stats]}
     return json.dumps(doc, indent=2) + "\n"

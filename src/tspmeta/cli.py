@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import TspmetaError
 from .instance import Instance, Metric, Tour, brute_force_optimal, validate_tour
-from .pso import LocalSearch, SwarmConfig, run as run_pso
+from .pso import LocalSearch
 from .svgplot import render_tour_svg
 from .tsplib import (
     five_city_instance,
@@ -58,32 +58,27 @@ def _format_tour(tour: Tour) -> str:
 _SOLVER_FIELDS = {f.name for s in bench_mod.SOLVERS.values() for f in fields(s.config_class)}
 
 
+def _solve(instance: Instance, algo: str, seed: int, params: dict) -> bench_mod.TrialRecord:
+    config = bench_mod.build_algorithm_config(algo, params)
+    return bench_mod.run_trial(instance, bench_mod.AlgorithmEntry(algo, algo, config), seed, 0)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     params = {k: v for k, v in vars(args).items() if k in _SOLVER_FIELDS and k != "seed"}
-    config = replace(bench_mod.build_algorithm_config(args.algo, params), seed=args.seed)
-    result = bench_mod.SOLVERS[args.algo].run(instance, config)
+    record = _solve(instance, args.algo, args.seed, params)
     if args.format == "json":
-        doc = {
-            "instance": instance.name,
-            "n": instance.n,
-            "algorithm": args.algo,
-            "seed": args.seed,
-            "best_cost": result.best_cost,
-            "best_tour": list(result.best_tour),
-            "iterations": result.iterations_run,
-            "evaluations": result.evaluations,
-            "wall_time_s": result.wall_time,
-        }
+        doc = {"instance": instance.name, "n": instance.n, **bench_mod.record_fields(record)}
+        del doc["run_index"]
         print(json.dumps(doc, indent=2))
     else:
         print(f"instance: {instance.name} (n={instance.n})")
-        print(f"algorithm: {args.algo} (seed {args.seed})")
-        print(f"best cost: {result.best_cost:.5f}")
-        print(f"best tour: {_format_tour(result.best_tour)}")
-        print(f"iterations: {result.iterations_run}")
-        print(f"evaluations: {result.evaluations}")
-        print(f"time: {result.wall_time:.3f}s")
+        print(f"algorithm: {record.algorithm} (seed {record.seed})")
+        print(f"best cost: {record.best_cost:.5f}")
+        print(f"best tour: {_format_tour(record.best_tour)}")
+        print(f"iterations: {record.iterations}")
+        print(f"evaluations: {record.evaluations}")
+        print(f"time: {record.wall_time:.3f}s")
     return 0
 
 
@@ -104,10 +99,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     header = f"{'algorithm':<12} {'runs':>4} {'best':>12} {'mean':>12} {'std':>10} {'worst':>12} {'gap%':>8}"
     print(header)
     print("-" * len(header))
-    runs = {s.algorithm: sum(1 for r in records if r.algorithm == s.algorithm) for s in stats}
     for s in stats:
         gap = f"{s.gap_percent:.3f}" if s.gap_percent is not None else "-"
-        print(f"{s.algorithm:<12} {runs[s.algorithm]:>4} {s.best:>12.5f} {s.mean:>12.5f} "
+        print(f"{s.algorithm:<12} {spec.runs_per_algorithm:>4} {s.best:>12.5f} {s.mean:>12.5f} "
               f"{s.sample_std:>10.5f} {s.worst:>12.5f} {gap:>8}")
 
     if args.out_csv:
@@ -154,8 +148,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if (args.tour is None) == (not args.solve_first):
         raise TspmetaError("give exactly one of --tour or --solve-first")
     if args.solve_first:
-        result = run_pso(instance, SwarmConfig(seed=args.seed))
-        tour = result.best_tour
+        tour = _solve(instance, "pso", args.seed, {}).best_tour
     else:
         tour = _parse_tour_arg(args.tour, instance.n)
     svg = render_tour_svg(instance, tour)

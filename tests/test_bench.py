@@ -1,5 +1,6 @@
 import json
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,18 @@ class TestRunExperiment:
         monkeypatch.setenv(bench.THREADS_ENV_VAR, " 2 ")
         assert len(tm.run_experiment(small_pso_spec(runs=3))) == 3
         assert pool_sizes == [2]
+
+    def test_pool_oserror_falls_back_to_sequential(self, monkeypatch):
+        def no_pool(max_workers):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        with pytest.warns(UserWarning, match="process pool unavailable"):
+            fallback = tm.run_experiment(small_pso_spec(), threads=2)
+        sequential = tm.run_experiment(small_pso_spec(), threads=1)
+        assert [replace(r, wall_time=0.0) for r in fallback] == \
+               [replace(r, wall_time=0.0) for r in sequential]
 
     def test_missing_instance_file_propagates(self):
         spec = tm.ExperimentSpec(

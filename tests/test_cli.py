@@ -32,6 +32,14 @@ class TestSolve:
         assert doc["best_tour"] == [0, 1, 2, 3, 4]
         assert doc["algorithm"] == "pso"
 
+    @pytest.mark.parametrize("algo", ["pso", "ga", "sa"])
+    def test_json_keys(self, capsys, algo):
+        # instance and n, then one bench JSON record without run_index
+        assert main(["solve", "--builtin-paper", "--algo", algo, "--format", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "instance", "n", "algorithm", "seed", "best_cost", "best_tour",
+            "iterations", "evaluations", "wall_time_s"]
+
     @pytest.mark.parametrize("algo", ["ga", "sa"])
     def test_other_algorithms(self, capsys, algo):
         assert main(["solve", "--builtin-paper", "--algo", algo, "--seed", "1"]) == 0
@@ -127,6 +135,22 @@ class TestExact:
         p.write_text("\n".join(f"{i},0" for i in range(13)))
         assert main(["exact", str(p)]) == 2
         assert "12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--algo", "pso"], ["solve", "--algo", "ga"], ["solve", "--algo", "sa"], ["exact"],
+], ids=["pso", "ga", "sa", "exact"])
+@pytest.mark.parametrize("name", ["far.csv", "far.tsp"])
+def test_overflowing_distances_exit_2(tmp_path, capsys, command, name):
+    # cities 1 and 2 are 2e200 apart, so their squared distance overflows
+    coords = [(1e200, 0), (-1e200, 0), (0, 1), (3, 4)]
+    p = tmp_path / name
+    p.write_text(tm.write_tsplib(tm.Instance.from_coords("far", coords)) if name.endswith(".tsp")
+                 else "".join(f"{x},{y}\n" for x, y in coords))
+    assert main([*command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "overflows" in captured.err
 
 
 class TestBench:
@@ -237,6 +261,16 @@ class TestPlot:
         assert main(["plot", "--builtin-paper", "--solve-first", "--seed", "0",
                      "--out", str(out)]) == 0
         assert "15.15298" in out.read_text()
+
+    def test_solve_first_plots_the_tour_solve_returns(self, tmp_path, capsys):
+        berlin52 = str(Path(tm.__file__).parent / "data" / "berlin52.tsp")
+        assert main(["solve", berlin52, "--seed", "3", "--format", "json"]) == 0
+        tour = json.loads(capsys.readouterr().out)["best_tour"]
+        solved, given = tmp_path / "solved.svg", tmp_path / "given.svg"
+        assert main(["plot", berlin52, "--solve-first", "--seed", "3", "--out", str(solved)]) == 0
+        assert main(["plot", berlin52, "--tour", ",".join(str(c + 1) for c in tour),
+                     "--out", str(given)]) == 0
+        assert solved.read_bytes() == given.read_bytes()
 
     def test_single_city(self, tmp_path, capsys):
         src = tmp_path / "one.csv"

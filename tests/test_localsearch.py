@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,21 @@ def improving_reversal_exists(tour, m) -> bool:
             if tm.tour_length(candidate, m) < base - IMPROVEMENT_EPS:
                 return True
     return False
+
+
+def best_reconnection_gain(tour, m) -> float:
+    """Oracle scan: cut the tour's edges after positions i < j < k into
+    head + A + B + tail, put A and B back in either order and each one
+    reversed or not (seven new tours per triple), and re-score each from
+    scratch. Returns how much shorter the best of them is (<= 0: none)."""
+    base = tm.tour_length(tour, m)
+    best = base
+    for i, j, k in itertools.combinations(range(len(tour)), 3):
+        head, a, b, tail = tour[:i + 1], tour[i + 1:j + 1], tour[j + 1:k + 1], tour[k + 1:]
+        for first, second in ((a, b), (b, a)):
+            for x, y in itertools.product((first, first[::-1]), (second, second[::-1])):
+                best = min(best, tm.tour_length(head + x + y + tail, m))
+    return base - best
 
 
 class TestTwoOpt:
@@ -90,6 +106,16 @@ class TestThreeOpt:
             m = tm.build_distance_matrix(inst)
             out = tm.three_opt(tm.random_tour(8, rng), m)
             assert not improving_reversal_exists(out, m)
+
+    def test_local_optimality_certificate(self):
+        # 600 instances: fewer let a three_opt that skips one of the seven
+        # reconnections pass
+        rng = random.Random(400)
+        for _ in range(600):
+            inst = random_instance(rng, rng.randint(5, 10))
+            m = tm.build_distance_matrix(inst)
+            out = tm.three_opt(tm.random_tour(m.n, rng), m)
+            assert best_reconnection_gain(out, m) <= IMPROVEMENT_EPS
 
     def test_deterministic(self):
         rng = random.Random(9)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,33 @@ class TestParseCoordsCsv:
     def test_wrong_arity(self):
         with pytest.raises(tm.ParseError):
             tm.parse_coords_csv("1,2,3")
+
+
+# Cities 1 and 2 are 2e200 apart: squaring that overflows a float.
+OVERFLOW_COORDS = ((1e200, 0.0), (-1e200, 0.0), (0.0, 1.0), (3.0, 4.0))
+
+
+def tsplib_text(coords) -> str:
+    return tm.write_tsplib(tm.Instance.from_coords("t", list(coords)))
+
+
+class TestDistanceOverflow:
+    def test_csv_rejected(self):
+        text = "".join(f"{x!r},{y!r}\n" for x, y in OVERFLOW_COORDS)
+        with pytest.raises(tm.ParseError, match="cities 1 and 2 overflows"):
+            tm.parse_coords_csv(text)
+
+    def test_tsplib_rejected(self):
+        with pytest.raises(tm.ParseError, match="cities 1 and 2 overflows") as err:
+            tm.parse_tsplib(tsplib_text(OVERFLOW_COORDS))
+        assert err.value.line == 5  # NODE_COORD_SECTION
+
+    def test_wide_bounding_box_without_an_overflowing_pair_accepted(self):
+        # the box's diagonal overflows, but no pair of cities is that far apart
+        half = math.sqrt(0.75 * sys.float_info.max) / 2
+        coords = ((half, 0.0), (-half, 0.0), (0.0, half), (0.0, -half))
+        inst, _ = tm.parse_tsplib(tsplib_text(coords))
+        assert np.isfinite(tm.build_distance_matrix(inst).d).all()
 
 
 class TestWriters:
