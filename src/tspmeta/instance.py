@@ -50,6 +50,18 @@ class Instance:
                 raise ValueError(f"city ids must be exactly 0..n-1 in order; got id {c.id} at position {i}")
             if not (math.isfinite(c.x) and math.isfinite(c.y)):
                 raise ValueError(f"city {c.id} has non-finite coordinates")
+        # Python floats overflow to inf just as build_distance_matrix's numpy
+        # does, without a warning. The bounding box's diagonal bounds every
+        # distance, so the pairwise scan runs only for coordinates spread over
+        # more than about 1e154.
+        xs, ys = [c.x for c in self.cities], [c.y for c in self.cities]
+        w, h = max(xs) - min(xs), max(ys) - min(ys)
+        if not math.isfinite(w * w + h * h):
+            for i, a in enumerate(self.cities):
+                for j, b in enumerate(self.cities[:i]):
+                    if math.isinf((a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y)):
+                        raise ValueError(f"the distance between cities {j + 1} and {i + 1} "
+                                         "overflows a float")
 
     @property
     def n(self) -> int:

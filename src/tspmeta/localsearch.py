@@ -74,6 +74,24 @@ def _three_opt_rebuild(seg1: list, seg2: list, case: int) -> list:
     return seg2[::-1] + seg1
 
 
+def _first_improving_move(order: list, rows, n: int) -> tuple[int, int, int, int] | None:
+    """The first cut triple i < j < k, in lexicographic order, with a
+    reconnection that beats the tour by more than IMPROVEMENT_EPS, as
+    (i, j, k, case) with case the first such reconnection; None if there is
+    none."""
+    for i in range(n - 2):
+        a, b = order[i], order[i + 1]
+        for j in range(i + 1, n - 1):
+            c, e = order[j], order[j + 1]
+            for k in range(j + 1, n):
+                f, g = order[k], order[(k + 1) % n]
+                deltas = _three_opt_deltas(rows, a, b, c, e, f, g)
+                if min(deltas) < -IMPROVEMENT_EPS:
+                    case = next(x for x, delta in enumerate(deltas) if delta < -IMPROVEMENT_EPS)
+                    return i, j, k, case
+    return None
+
+
 def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """First-improvement 3-opt: sweep all cut triples i < j < k in
     lexicographic order, trying the seven reconnection variants (the
@@ -85,27 +103,7 @@ def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
         return t
     rows = m.rows()
     order = list(t)
-
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n - 2):
-            a, b = order[i], order[i + 1]
-            for j in range(i + 1, n - 1):
-                c, e = order[j], order[j + 1]
-                for k in range(j + 1, n):
-                    f, g = order[k], order[(k + 1) % n]
-                    deltas = _three_opt_deltas(rows, a, b, c, e, f, g)
-                    for case, delta in enumerate(deltas):
-                        if delta < -IMPROVEMENT_EPS:
-                            order[i + 1:k + 1] = _three_opt_rebuild(
-                                order[i + 1:j + 1], order[j + 1:k + 1], case)
-                            improved = True
-                            break
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+    while (move := _first_improving_move(order, rows, n)) is not None:
+        i, j, k, case = move
+        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
     return tuple(order)

@@ -28,25 +28,6 @@ def _is_int(token: str) -> bool:
     return True
 
 
-def _check_distances_finite(coords: list[tuple[float, float]], line: int) -> None:
-    """Raise ParseError if some pairwise distance would overflow to inf.
-
-    Python floats overflow to inf just as build_distance_matrix's numpy
-    does, without a warning. The bounding box's diagonal bounds every
-    distance, so the pairwise scan runs only for coordinates spread over
-    more than about 1e154.
-    """
-    xs, ys = [x for x, _ in coords], [y for _, y in coords]
-    w, h = max(xs) - min(xs), max(ys) - min(ys)
-    if math.isfinite(w * w + h * h):
-        return
-    for i, (xi, yi) in enumerate(coords):
-        for j, (xj, yj) in enumerate(coords[:i]):
-            if math.isinf((xi - xj) * (xi - xj) + (yi - yj) * (yi - yj)):
-                raise ParseError(f"the distance between cities {j + 1} and {i + 1} "
-                                 "overflows a float", line)
-
-
 @dataclass
 class ParseDiagnostics:
     source_name: str
@@ -145,8 +126,10 @@ def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, Pa
         diags.warn(last_line, "missing EDGE_WEIGHT_TYPE, assuming EUC_2D")
 
     coords = [nodes[i] for i in range(1, dimension + 1)]
-    _check_distances_finite(coords, coord_section_line)
-    instance = Instance.from_coords(name or source_name, coords, Metric.EUCLIDEAN_ROUNDED)
+    try:
+        instance = Instance.from_coords(name or source_name, coords, Metric.EUCLIDEAN_ROUNDED)
+    except ValueError as exc:  # e.g. a distance that overflows a float
+        raise ParseError(str(exc), coord_section_line) from None
     return instance, diags
 
 
@@ -175,8 +158,10 @@ def parse_coords_csv(text: str, name: str = "coords",
         coords.append((x, y))
     if not coords:
         raise ParseError("no coordinate rows found", 0)
-    _check_distances_finite(coords, 0)
-    return Instance.from_coords(name, coords, Metric.EUCLIDEAN_EXACT), diags
+    try:
+        return Instance.from_coords(name, coords, Metric.EUCLIDEAN_EXACT), diags
+    except ValueError as exc:  # e.g. a distance that overflows a float
+        raise ParseError(str(exc), 0) from None
 
 
 def write_coords_csv(instance: Instance) -> str:

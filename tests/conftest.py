@@ -28,3 +28,11 @@ def berlin52() -> tm.Instance:
 def random_instance(rng, n: int, name: str = "random") -> tm.Instance:
     """Uniform random coordinates in the unit square from a seeded stream."""
     return tm.Instance.from_coords(name, [(rng.random(), rng.random()) for _ in range(n)])
+
+
+def tsplib_text(coords, name: str = "t") -> str:
+    """A TSPLIB EUC_2D file for coords, written by hand rather than by
+    write_tsplib, whose Instance refuses coordinates that overflow."""
+    nodes = "".join(f"{i} {x!r} {y!r}\n" for i, (x, y) in enumerate(coords, start=1))
+    return (f"NAME: {name}\nTYPE: TSP\nDIMENSION: {len(coords)}\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+            f"NODE_COORD_SECTION\n{nodes}EOF\n")

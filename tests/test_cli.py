@@ -8,6 +8,7 @@ import pytest
 
 import tspmeta as tm
 from tspmeta.cli import main
+from conftest import tsplib_text
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 BUNDLED_SPEC = SPECS_DIR / "five_city_repro.json"
@@ -145,7 +146,7 @@ def test_overflowing_distances_exit_2(tmp_path, capsys, command, name):
     # cities 1 and 2 are 2e200 apart, so their squared distance overflows
     coords = [(1e200, 0), (-1e200, 0), (0, 1), (3, 4)]
     p = tmp_path / name
-    p.write_text(tm.write_tsplib(tm.Instance.from_coords("far", coords)) if name.endswith(".tsp")
+    p.write_text(tsplib_text(coords, "far") if name.endswith(".tsp")
                  else "".join(f"{x},{y}\n" for x, y in coords))
     assert main([*command, str(p)]) == 2
     captured = capsys.readouterr()

@@ -1,15 +1,24 @@
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tspmeta as tm
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295  # exhaustive enumeration over all 12 distinct tours
 FIVE_CITY_ALT_ROUTE_COST = 17.758533720546936  # route (0,1,4,3,2), hand edge sum
+# cities at (±WIDE_HALF, 0) and (0, ±WIDE_HALF) span a box whose diagonal overflows
+WIDE_HALF = math.sqrt(0.75 * sys.float_info.max) / 2
+# coordinates on the scale where squared distances start to overflow (about
+# 1.3e154 apart), and far beyond it
+SPREAD_COORD = st.floats(-1, 1).map(lambda v: v * 1e154) | st.floats(-1e160, 1e160)
 
 # short runs of each solver that run_search drives; PSO may stop early on stagnation
 SEARCH_SOLVERS = {
@@ -207,6 +216,31 @@ class TestInstanceValidation:
         cities = (tm.City(1, 0.0, 0.0), tm.City(0, 1.0, 1.0))
         with pytest.raises(ValueError):
             tm.Instance(name="bad", cities=cities)
+
+    @pytest.mark.parametrize("coords", [
+        [(1e200, 0), (-1e200, 0), (0, 1), (3, 4)],
+        [(-1e200, 0), (1e200, 0), (0, 1), (3, 4)],
+    ], ids=["plus-minus", "minus-plus"])
+    def test_overflowing_distance_rejected(self, coords):
+        # cities 1 and 2 are 2e200 apart, so their squared distance overflows
+        with pytest.raises(ValueError, match="cities 1 and 2 overflows"):
+            tm.Instance.from_coords("far", coords)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(SPREAD_COORD, SPREAD_COORD), min_size=1, max_size=8))
+    # the box's diagonal overflows, but no pair of cities is that far apart
+    @example([(WIDE_HALF, 0.0), (-WIDE_HALF, 0.0), (0.0, WIDE_HALF), (0.0, -WIDE_HALF)])
+    def test_accepted_iff_numpy_distances_are_finite(self, coords):
+        xs, ys = np.array(coords).T
+        with np.errstate(over="ignore"):
+            d = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
+        try:
+            inst = tm.Instance.from_coords("p", coords)
+        except ValueError:
+            assert np.isinf(d).any()
+        else:
+            assert np.isfinite(d).all()
+            assert np.isfinite(tm.build_distance_matrix(inst).d).all()
 
 
 class TestRunSearch:

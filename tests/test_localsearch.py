@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -123,6 +124,18 @@ class TestThreeOpt:
         m = tm.build_distance_matrix(inst)
         tour = tm.random_tour(10, rng)
         assert tm.three_opt(tour, m) == tm.three_opt(tour, m)
+
+    def test_chosen_local_optimum_is_pinned(self):
+        # the certificate admits any 3-opt local optimum; this pins the one the
+        # sweep order and first-improving reconnection lead to
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            n = rng.randint(5, 30)
+            m = tm.build_distance_matrix(random_instance(rng, n))
+            digest.update(repr(tm.three_opt(tm.random_tour(n, rng), m)).encode())
+        assert digest.hexdigest() == (
+            "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
 
     def test_tiny_instances_returned_unchanged(self):
         inst = tm.Instance.from_coords("two", [(0, 0), (1, 0)])

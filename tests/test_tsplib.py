@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
+from conftest import tsplib_text
 
 FIVE_CITY_TSPLIB = """\
 NAME: five-city
@@ -115,10 +116,6 @@ class TestParseCoordsCsv:
 
 # Cities 1 and 2 are 2e200 apart: squaring that overflows a float.
 OVERFLOW_COORDS = ((1e200, 0.0), (-1e200, 0.0), (0.0, 1.0), (3.0, 4.0))
-
-
-def tsplib_text(coords) -> str:
-    return tm.write_tsplib(tm.Instance.from_coords("t", list(coords)))
 
 
 class TestDistanceOverflow:
