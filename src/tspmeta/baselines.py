@@ -9,11 +9,11 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
                        random_tour, run_search)
 
@@ -29,6 +29,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if self.population < 1 or self.generations < 1:
             raise ConfigError("population and generations must be >= 1")
         if not 0.0 <= self.crossover_rate <= 1.0 or not 0.0 <= self.mutation_rate <= 1.0:
@@ -41,20 +42,23 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class SaConfig:
-    initial_temp: float | None = None  # None = AUTO (spread of sampled deltas)
+    initial_temp: float | None = field(default=None, metadata={
+        "help": "starting temperature (default: auto from sampled deltas)"})
     cooling: float = 0.995
-    iters_per_temp: int | None = None  # None = n^2
+    iters_per_temp: int | None = field(default=None, metadata={
+        "help": "proposals per temperature level (default: n^2)"})
     min_temp: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if not 0.0 < self.cooling < 1.0:
             raise ConfigError("cooling must be in (0, 1)")
-        if not math.isfinite(self.min_temp) or self.min_temp <= 0:
-            raise ConfigError("min_temp must be finite and > 0")
+        if self.min_temp <= 0:
+            raise ConfigError("min_temp must be > 0")
         if self.initial_temp is not None:
-            if not math.isfinite(self.initial_temp) or self.initial_temp <= 0:
-                raise ConfigError("initial_temp must be finite and > 0 (or None for AUTO)")
+            if self.initial_temp <= 0:
+                raise ConfigError("initial_temp must be > 0 (or None for AUTO)")
             if self.min_temp >= self.initial_temp:
                 raise ConfigError("min_temp must be below initial_temp")
         if self.iters_per_temp is not None and self.iters_per_temp < 1:

@@ -14,16 +14,14 @@ import json
 import math
 import os
 import statistics
-import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .baselines import GaConfig, SaConfig, run_ga, run_sa
-from .errors import ConfigError
+from .errors import ConfigError, _check_type
 from .instance import Instance, RunResult, Tour, build_distance_matrix, tour_length
 from .pso import SwarmConfig, run as run_pso
 from .tsplib import five_city_instance, load_instance_file
@@ -34,7 +32,7 @@ THREADS_ENV_VAR = "TSPMETA_BENCH_THREADS"
 
 class Solver(NamedTuple):
     config_class: type
-    run: Callable[[Instance, typing.Any], RunResult]
+    run: Callable[[Instance, Any], RunResult]
 
 
 # The one place that maps an algorithm kind to its config and its runner;
@@ -107,48 +105,9 @@ class SummaryStats:
     gap_percent: float | None
 
 
-def _describe(t: type) -> str:
-    if t is int:
-        return "an integer"
-    if t is float:
-        return "a number"
-    if t is str:
-        return "a string"
-    if issubclass(t, Enum):
-        return f"one of {[e.value for e in t]}"
-    return "null"
-
-
-def _check_type(key: str, value, hint):
-    """value as the type hint (int, float, str, an Enum, or X | None) asks for.
-
-    An int takes an int but not a bool; a str takes only a str; a float
-    takes an int or a float (returned as a float) but not a bool; an Enum
-    takes a member or its value; None passes only where the hint allows it.
-    Anything else raises ConfigError naming the key and the expected type.
-    Ranges are left to the dataclasses that use the value.
-    """
-    options = typing.get_args(hint) or (hint,)
-    for t in options:
-        if value is None and t is type(None):
-            return None
-        if isinstance(value, bool):
-            continue
-        if t in (int, str) and isinstance(value, t):
-            return value
-        if t is float and isinstance(value, (int, float)):
-            with contextlib.suppress(OverflowError):  # an int too large for a float
-                return float(value)
-        if issubclass(t, Enum) and isinstance(value, (t, str)):
-            with contextlib.suppress(ValueError):
-                return t(value)
-    expected = " or ".join(_describe(t) for t in options)
-    raise ConfigError(f"{key} must be {expected}, got {value!r}")
-
-
 def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | SaConfig:
     """Turn a params mapping (a spec's, or the solve flags given) into the
-    config dataclass of that kind, checking each value with _check_type.
+    config dataclass of that kind, which checks each value's type itself.
 
     Unknown keys are rejected, and 'seed' is rejected too: trial seeds are
     derived from base_seed so specs stay order-independent.
@@ -160,12 +119,10 @@ def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | 
         raise ConfigError(f"{kind} params must be an object, got {params!r}")
     if "seed" in params:
         raise ConfigError("per-algorithm 'seed' is not allowed; seeds derive from base_seed")
-    hints = typing.get_type_hints(solver.config_class)
     unknown = set(params) - {f.name for f in fields(solver.config_class)}
     if unknown:
         raise ConfigError(f"unknown {kind} parameter(s): {sorted(unknown)}")
-    return solver.config_class(**{key: _check_type(key, value, hints[key])
-                                  for key, value in params.items()})
+    return solver.config_class(**params)
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import TspmetaError
 from .instance import Instance, Metric, Tour, brute_force_optimal, validate_tour
-from .pso import LocalSearch
 from .svgplot import render_tour_svg
 from .tsplib import (
     five_city_instance,
@@ -56,6 +57,7 @@ def _format_tour(tour: Tour) -> str:
 # Every solver flag's dest is a config field name; a flag left out is absent
 # from the parsed args, so its value is the config dataclass's default.
 _SOLVER_FIELDS = {f.name for s in bench_mod.SOLVERS.values() for f in fields(s.config_class)}
+_FLAGS = {"n_particles": "--particles", "max_iter": "--iterations"}  # others: --field-name
 
 
 def _solve(instance: Instance, algo: str, seed: int, params: dict) -> bench_mod.TrialRecord:
@@ -170,29 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=tuple(bench_mod.SOLVERS), default="pso")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--format", choices=("text", "json"), default="text")
-    pso_group = p_solve.add_argument_group("pso options", argument_default=argparse.SUPPRESS)
-    pso_group.add_argument("--particles", dest="n_particles", type=int)
-    pso_group.add_argument("--iterations", dest="max_iter", type=int)
-    pso_group.add_argument("--w", type=float, help="inertia factor")
-    pso_group.add_argument("--c1", type=float)
-    pso_group.add_argument("--c2", type=float)
-    pso_group.add_argument("--w-end", type=float, help="final inertia; enables linear decay")
-    pso_group.add_argument("--local-search", choices=[m.value for m in LocalSearch])
-    pso_group.add_argument("--stagnation-limit", type=int)
-    ga_group = p_solve.add_argument_group("ga options", argument_default=argparse.SUPPRESS)
-    ga_group.add_argument("--population", type=int)
-    ga_group.add_argument("--generations", type=int)
-    ga_group.add_argument("--crossover-rate", type=float)
-    ga_group.add_argument("--mutation-rate", type=float)
-    ga_group.add_argument("--tournament-k", type=int)
-    ga_group.add_argument("--elitism", type=int)
-    sa_group = p_solve.add_argument_group("sa options", argument_default=argparse.SUPPRESS)
-    sa_group.add_argument("--initial-temp", type=float,
-                          help="starting temperature (default: auto from sampled deltas)")
-    sa_group.add_argument("--cooling", type=float)
-    sa_group.add_argument("--iters-per-temp", type=int,
-                          help="proposals per temperature level (default: n^2)")
-    sa_group.add_argument("--min-temp", type=float)
+    for kind, solver in bench_mod.SOLVERS.items():
+        group = p_solve.add_argument_group(f"{kind} options", argument_default=argparse.SUPPRESS)
+        hints = typing.get_type_hints(solver.config_class)
+        for f in fields(solver.config_class):
+            if f.name == "seed":
+                continue
+            t = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]  # X of X | None
+            value_args = {"choices": [e.value for e in t]} if issubclass(t, Enum) else {"type": t}
+            group.add_argument(_FLAGS.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                               help=f.metadata.get("help"), **value_args)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_exact = sub.add_parser("exact", help="exact optimum by exhaustive enumeration (n <= 12)")

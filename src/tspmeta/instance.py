@@ -43,6 +43,7 @@ class Instance:
     metric: Metric = Metric.EUCLIDEAN_EXACT
 
     def __post_init__(self):
+        object.__setattr__(self, "metric", Metric(self.metric))  # a member or a member's value
         if len(self.cities) < 1:
             raise ValueError("an instance needs at least one city")
         for i, c in enumerate(self.cities):

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, check_types
 from .instance import DistanceMatrix, Instance, RunResult, Tour, cycle_length, random_tour, run_search
 from .localsearch import three_opt, two_opt
 
@@ -45,21 +45,21 @@ class LocalSearch(Enum):
 class SwarmConfig:
     n_particles: int = 30
     max_iter: int = 100
-    w: float = 0.8
+    w: float = field(default=0.8, metadata={"help": "inertia factor"})
     c1: float = 2.0
     c2: float = 2.0
-    w_end: float | None = None  # set: inertia decays linearly from w to w_end
+    w_end: float | None = field(default=None,
+                                metadata={"help": "final inertia; enables linear decay"})
     local_search: LocalSearch = LocalSearch.TWO_OPT_GBEST
     seed: int = 0
     stagnation_limit: int | None = None
 
     def __post_init__(self):
+        check_types(self)
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if not all(math.isfinite(v) for v in (self.w, self.c1, self.c2)):
-            raise ConfigError("w, c1 and c2 must be finite")
         if not 0.0 <= self.w <= 1.0:
             raise ConfigError("w must be in [0, 1]")
         if self.c1 < 0 or self.c2 < 0:

@@ -192,9 +192,10 @@ class TestRunGa:
         dict(tournament_k=0),
         dict(tournament_k=51),
         dict(elitism=51),
+        dict(tournament_k=1.5),
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(tm.ConfigError):
+        with pytest.raises(tm.ConfigError, match=rf"\b{next(iter(kwargs))}\b"):
             tm.GaConfig(**kwargs)
 
 
@@ -267,7 +268,9 @@ class TestRunSa:
         dict(min_temp=math.nan),
         dict(initial_temp=math.inf),
         dict(initial_temp=math.nan),
+        dict(iters_per_temp=2.5),
+        dict(cooling="0.9"),
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(tm.ConfigError):
+        with pytest.raises(tm.ConfigError, match=rf"\b{next(iter(kwargs))}\b"):
             tm.SaConfig(**kwargs)

@@ -1,13 +1,15 @@
+import argparse
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import tspmeta as tm
-from tspmeta.cli import main
+from tspmeta.cli import build_parser, main
 from conftest import tsplib_text
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -302,6 +304,24 @@ class TestPlot:
             assert main(["plot", "--builtin-paper", "--tour", "2,1,3,5,4",
                          "--out", str(p)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSolveFlags:
+    def test_one_flag_per_config_field(self):
+        # the solver flags come from the config fields, all but seed
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        groups = sub.choices["solve"]._action_groups
+        flags = [a for g in groups if g.title.endswith(" options") and g.title != "options"
+                 for a in g._group_actions]
+        expected = [f.name for config in (tm.SwarmConfig, tm.GaConfig, tm.SaConfig)
+                    for f in fields(config) if f.name != "seed"]
+        assert [a.dest for a in flags] == expected
+        spelling = {"n_particles": "--particles", "max_iter": "--iterations"}
+        for a in flags:
+            assert a.option_strings == [spelling.get(a.dest, "--" + a.dest.replace("_", "-"))]
+        local_search = next(a for a in flags if a.dest == "local_search")
+        assert local_search.choices == [m.value for m in tm.LocalSearch]
 
 
 class TestArgumentErrors:

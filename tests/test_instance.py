@@ -20,9 +20,13 @@ WIDE_HALF = math.sqrt(0.75 * sys.float_info.max) / 2
 # 1.3e154 apart), and far beyond it
 SPREAD_COORD = st.floats(-1, 1).map(lambda v: v * 1e154) | st.floats(-1e160, 1e160)
 
-# short runs of each solver that run_search drives; PSO may stop early on stagnation
+# short runs of each solver that run_search drives, PSO in each local-search
+# mode ("pso" polishes gbest with 2-opt); PSO may stop early on stagnation
+PSO_SHORT = tm.SwarmConfig(n_particles=6, max_iter=20, stagnation_limit=4)
 SEARCH_SOLVERS = {
-    "pso": (tm.run_pso, tm.SwarmConfig(n_particles=6, max_iter=20, stagnation_limit=4)),
+    "pso": (tm.run_pso, PSO_SHORT),
+    **{f"pso-{mode.value}": (tm.run_pso, replace(PSO_SHORT, local_search=mode))
+       for mode in tm.LocalSearch if mode is not PSO_SHORT.local_search},
     "ga": (tm.run_ga, tm.GaConfig(population=10, generations=10)),
     "sa": (tm.run_sa, tm.SaConfig(cooling=0.8)),
 }
@@ -211,6 +215,16 @@ class TestInstanceValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             tm.Instance.from_coords("bad", [(0.0, float("nan"))])
+
+    def test_metric_given_as_its_value(self):
+        # the diagonal of a square of side 1.4 is 1.9799, which the rounded metric makes 2
+        coords = [(0.0, 0.0), (1.4, 0.0), (1.4, 1.4), (0.0, 1.4)]
+        inst = tm.Instance.from_coords("square", coords, "euclidean-rounded")
+        assert inst.metric is tm.Metric.EUCLIDEAN_ROUNDED
+        assert tm.build_distance_matrix(inst).d[0, 2] == 2.0
+        for bad in ("manhattan", None, 1, ["euclidean-exact"]):
+            with pytest.raises(ValueError):
+                tm.Instance.from_coords("square", coords, bad)
 
     def test_out_of_order_ids_rejected(self):
         cities = (tm.City(1, 0.0, 0.0), tm.City(0, 1.0, 1.0))

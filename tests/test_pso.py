@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -162,6 +163,16 @@ class TestStep:
             state = tm.pso_step(state, cfg, m, rng)
             assert state.particles[0].position == first
 
+    def test_two_opt_all_leaves_every_position_two_opt_optimal(self):
+        inst = random_instance(random.Random(23), 12)
+        m = tm.build_distance_matrix(inst)
+        cfg = tm.SwarmConfig(n_particles=6, local_search=tm.LocalSearch.TWO_OPT_ALL, seed=5)
+        rng = random.Random(cfg.seed)
+        state = init_state(inst, cfg, m, rng)
+        for _ in range(3):
+            state = tm.pso_step(state, cfg, m, rng)
+            assert all(tm.two_opt(p.position, m) == p.position for p in state.particles)
+
     def test_gbest_matches_min_pbest_after_every_step(self):
         rng_inst = random.Random(31)
         inst = random_instance(rng_inst, 7)
@@ -177,6 +188,16 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("mode", list(tm.LocalSearch))
+    def test_local_search_given_as_its_value(self, mode):
+        # a config built in code takes the enum's value as well as its member
+        inst = random_instance(random.Random(17), 15)
+        cfg = tm.SwarmConfig(n_particles=5, max_iter=10, local_search=mode.value, seed=4)
+        assert cfg.local_search is mode
+        by_value = tm.run_pso(inst, cfg)
+        by_member = tm.run_pso(inst, replace(cfg, local_search=mode))
+        assert replace(by_value, wall_time=0.0) == replace(by_member, wall_time=0.0)
+
     def test_single_city(self):
         inst = tm.Instance.from_coords("one", [(0, 0)])
         result = tm.run_pso(inst, tm.SwarmConfig(seed=0))
@@ -270,7 +291,11 @@ class TestSwarmConfigValidation:
         dict(w_end=-0.1),
         dict(w_end=0.9, w=0.5),
         dict(stagnation_limit=0),
+        dict(n_particles=2.5),
+        dict(max_iter=True),
+        dict(w="0.8"),
+        dict(stagnation_limit=1.5),
     ])
     def test_rejects(self, kwargs):
-        with pytest.raises(tm.ConfigError):
+        with pytest.raises(tm.ConfigError, match=rf"\b{next(iter(kwargs))}\b"):
             tm.SwarmConfig(**kwargs)
