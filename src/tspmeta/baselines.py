@@ -6,7 +6,6 @@ acceptance, geometric cooling). Both are deterministic per seed.
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
                        random_tour, run_search)
+from .localsearch import reversal_deltas, reversal_table
 
 
 @dataclass(frozen=True)
@@ -198,45 +198,42 @@ def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random
         yield best_tour, best_cost, evaluations
 
 
-def sa_accept(delta: float, temp: float, rng: random.Random) -> bool:
-    """Metropolis rule: improving moves always pass; a worsening move passes
-    with probability exp(-delta/temp), judged against one uniform draw."""
-    if temp <= 0:
-        raise ValueError("temperature must be > 0")
-    if delta < 0:
-        return True
-    return rng.random() < math.exp(-delta / temp)
+def sa_accept(delta: float, threshold: float) -> bool:
+    """Metropolis rule: a move passes iff delta < threshold. Against
+    sa_thresholds(temp, u), improving moves always pass and a worsening move
+    passes with probability exp(-delta/temp)."""
+    return delta < threshold
 
 
-def _draw_reversal(n: int, rng: random.Random) -> tuple[int, int]:
-    """Uniform segment reversal (i, j), i < j, excluding the degenerate
-    full-tour reversal (0, n-1). Needs n >= 3."""
-    while True:
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        if i > j:
-            i, j = j, i
-        if not (i == 0 and j == n - 1):
-            return i, j
+def sa_thresholds(temp: float, u: np.ndarray) -> np.ndarray:
+    """-temp * log1p(-u) for uniform draws u in [0, 1): exponential with mean
+    temp, so P(delta < threshold) = min(1, exp(-delta/temp))."""
+    thresholds = np.log1p(-u)
+    thresholds *= -temp
+    return thresholds
 
 
-def _reversal_delta(order: list[int], i: int, j: int, rows) -> float:
-    a, b = order[i - 1], order[i]
-    c, e = order[j], order[(j + 1) % len(order)]
-    return rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
+# Proposals drawn per numpy call; bounds memory whatever iters_per_temp is.
+SA_BLOCK = 1 << 16
 
 
 def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     """Simulated annealing from a random tour.
 
-    AUTO initial temperature is the spread (population standard deviation)
-    of 100 sampled random-reversal deltas at the starting tour. Each
-    temperature level runs iters_per_temp proposals, then multiplies the
-    temperature by the cooling factor; the run stops at min_temp. run_search
-    records the best-ever cost at the start and once per level. Evaluation
-    counts include every proposed neighbor.
+    Proposals are uniform segment reversals (i, j), i < j, but the full-tour
+    one, from localsearch.reversal_table. AUTO initial temperature is the
+    spread (population standard deviation) of 100 sampled proposal deltas at
+    the starting tour. Each temperature level runs iters_per_temp proposals,
+    then multiplies the temperature by the cooling factor; the run stops at
+    min_temp. run_search records the best-ever cost at the start and once
+    per level. Evaluation counts include every proposed neighbor.
+
+    The starting tour comes from random_tour on random.Random(seed). Every
+    later draw comes from a numpy Generator seeded by the next 64 bits of
+    that stream: each level draws its proposals and their sa_thresholds in
+    blocks of at most SA_BLOCK, proposal indices first, then uniforms. A
+    new best is re-scored with cycle_length, and so is the current tour at
+    the end of each level, to shed the drift of summed deltas.
     """
     return run_search(instance, cfg, _sa_search)
 
@@ -252,29 +249,34 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
     yield best_tour, best_cost, evaluations
     if n <= 2:  # no non-degenerate reversal exists
         return
+    gen = np.random.default_rng(rng.getrandbits(64))
+    table = reversal_table(n)
+    moves = len(table[0])
     if cfg.initial_temp is not None:
         temp = cfg.initial_temp
     else:
-        samples = []
-        for _ in range(100):
-            i, j = _draw_reversal(n, rng)
-            samples.append(_reversal_delta(order, i, j, rows))
-        temp = statistics.pstdev(samples)
+        k = gen.integers(moves, size=100)
+        samples = reversal_deltas(np.array(order), m.d, *(column[k] for column in table))
+        temp = statistics.pstdev(samples.tolist())
 
     iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n
     while temp > cfg.min_temp:
-        for _ in range(iters):
-            i, j = _draw_reversal(n, rng)
-            delta = _reversal_delta(order, i, j, rows)
-            evaluations += 1
-            if sa_accept(delta, temp, rng):
-                order[i:j + 1] = order[i:j + 1][::-1]
-                current += delta
-                if current < best_cost:
-                    # re-score canonically so the recorded best is exact
-                    actual = cycle_length(order, rows)
-                    if actual < best_cost:
-                        best_tour, best_cost = tuple(order), actual
+        for done in range(0, iters, SA_BLOCK):
+            size = min(SA_BLOCK, iters - done)
+            k = gen.integers(moves, size=size)
+            thresholds = sa_thresholds(temp, gen.random(size)).tolist()
+            for i, j, jn, threshold in zip(*(column[k].tolist() for column in table), thresholds):
+                a, b, c, e = order[i - 1], order[i], order[j], order[jn]
+                delta = rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
+                if sa_accept(delta, threshold):
+                    order[i:j + 1] = order[i:j + 1][::-1]
+                    current += delta
+                    if current < best_cost:
+                        # re-score canonically so the recorded best is exact
+                        actual = cycle_length(order, rows)
+                        if actual < best_cost:
+                            best_tour, best_cost = tuple(order), actual
+            evaluations += size
         current = cycle_length(order, rows)  # shed accumulated float drift
         temp *= cfg.cooling
         yield best_tour, best_cost, evaluations

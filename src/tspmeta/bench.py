@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import statistics
 import warnings
@@ -60,6 +59,9 @@ class ExperimentSpec:
     reference_cost: float | None = None
 
     def __post_init__(self):
+        for name, hint in (("instance_source", str), ("runs_per_algorithm", int),
+                           ("base_seed", int), ("reference_cost", float | None)):
+            object.__setattr__(self, name, _check_type(name, getattr(self, name), hint))
         if self.runs_per_algorithm < 1:
             raise ConfigError("runs_per_algorithm must be >= 1")
         if not self.algorithms:
@@ -78,9 +80,8 @@ class ExperimentSpec:
             if not isinstance(a.config, SOLVERS[a.kind].config_class):
                 raise ConfigError(f"algorithm {a.name!r} of kind {a.kind!r} has a "
                                   f"{type(a.config).__name__}")
-        if self.reference_cost is not None and not (
-                math.isfinite(self.reference_cost) and self.reference_cost > 0):
-            raise ConfigError(f"reference_cost must be finite and > 0, got {self.reference_cost!r}")
+        if self.reference_cost is not None and self.reference_cost <= 0:
+            raise ConfigError(f"reference_cost must be > 0, got {self.reference_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -135,18 +136,14 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"experiment spec is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("experiment spec must be a JSON object")
-    known = {"instance", "algorithms", "runs_per_algorithm", "base_seed", "reference_cost"}
-    unknown = set(doc) - known
+    required = {"instance", "algorithms", "runs_per_algorithm", "base_seed"}
+    unknown = set(doc) - required - {"reference_cost"}
     if unknown:
         raise ConfigError(f"unknown experiment spec key(s): {sorted(unknown)}")
-    try:
-        instance_source = _check_type("instance", doc["instance"], str)
-        algorithms_doc = doc["algorithms"]
-        runs = _check_type("runs_per_algorithm", doc["runs_per_algorithm"], int)
-        base_seed = _check_type("base_seed", doc["base_seed"], int)
-    except KeyError as exc:
-        raise ConfigError(f"experiment spec is missing {exc.args[0]!r}") from None
-    reference = _check_type("reference_cost", doc.get("reference_cost"), float | None)
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ConfigError(f"experiment spec is missing {missing[0]!r}")
+    algorithms_doc = doc["algorithms"]
     entries = []
     if not isinstance(algorithms_doc, list):
         raise ConfigError("'algorithms' must be a list")
@@ -156,11 +153,11 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         config = build_algorithm_config(item["kind"], item.get("params", {}))
         entries.append(AlgorithmEntry(item["name"], item["kind"], config))
     return ExperimentSpec(
-        instance_source=instance_source,
+        instance_source=doc["instance"],
         algorithms=tuple(entries),
-        runs_per_algorithm=runs,
-        base_seed=base_seed,
-        reference_cost=reference,
+        runs_per_algorithm=doc["runs_per_algorithm"],
+        base_seed=doc["base_seed"],
+        reference_cost=doc.get("reference_cost"),
     )
 
 

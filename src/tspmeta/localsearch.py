@@ -5,6 +5,8 @@ a longer tour than they were given.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .instance import DistanceMatrix, Tour
@@ -12,6 +14,29 @@ from .instance import DistanceMatrix, Tour
 # A move must beat the incumbent by more than this to be applied; keeps
 # float noise from causing improvement cycles.
 IMPROVEMENT_EPS = 1e-10
+
+
+@functools.lru_cache(maxsize=8)
+def reversal_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every segment reversal (i, j), 0 <= i < j < n, but the full-tour one
+    (0, n-1), in lexicographic order, as read-only arrays i, j and
+    (j + 1) % n. Cached for a few sizes; 2-opt scans it, SA draws from it."""
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    keep = ~((i_idx == 0) & (j_idx == n - 1))
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    table = (i_idx, j_idx, (j_idx + 1) % n)
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def reversal_deltas(order: np.ndarray, d: np.ndarray, i_idx, j_idx, j_next) -> np.ndarray:
+    """Four-edge length change of reversing order[i..j] for each (i, j)."""
+    a = order[i_idx - 1]  # -1 wraps to the last position
+    b = order[i_idx]
+    c = order[j_idx]
+    e = order[j_next]
+    return d[a, c] + d[b, e] - d[a, b] - d[c, e]
 
 
 def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
@@ -24,18 +49,11 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     if n < 4:
         return t
     d = m.d
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    keep = ~((i_idx == 0) & (j_idx == n - 1))
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
-    j_next = (j_idx + 1) % n
+    i_idx, j_idx, j_next = reversal_table(n)
 
     order = np.array(t, dtype=np.intp)
     while True:
-        a = order[i_idx - 1]  # -1 wraps to the last position
-        b = order[i_idx]
-        c = order[j_idx]
-        e = order[j_next]
-        delta = d[a, c] + d[b, e] - d[a, b] - d[c, e]
+        delta = reversal_deltas(order, d, i_idx, j_idx, j_next)
         k = int(np.argmin(delta))
         if delta[k] >= -IMPROVEMENT_EPS:
             break

@@ -1,5 +1,7 @@
 import math
 import random
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import tspmeta as tm
 from conftest import random_instance
-from tspmeta.baselines import order_crossover_rows, swap_mutation_rows, tournament_winners
+from tspmeta.baselines import (order_crossover_rows, sa_thresholds, swap_mutation_rows,
+                               tournament_winners)
 from tspmeta.instance import cycle_length, cycle_lengths
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -201,21 +204,90 @@ class TestRunGa:
 
 class TestSaAccept:
     def test_improving_always_accepted(self):
-        rng = random.Random(0)
-        assert all(tm.sa_accept(-1.0, t, rng) for t in (0.01, 1.0, 100.0))
+        assert all(tm.sa_accept(-1.0, t) for t in (0.0, 0.01, 1.0, 100.0))
 
     def test_zero_delta_accepted(self):
-        assert tm.sa_accept(0.0, 5.0, random.Random(0))
+        assert all(tm.sa_accept(0.0, t) for t in (5e-324, 0.01, 5.0))
+        assert not tm.sa_accept(0.0, 0.0)
 
     def test_acceptance_frequency_at_delta_equals_temp(self):
-        rng = random.Random(0)
         n = 100_000
-        accepted = sum(tm.sa_accept(2.5, 2.5, rng) for _ in range(n))
+        thresholds = sa_thresholds(2.5, np.random.default_rng(0).random(n)).tolist()
+        accepted = sum(tm.sa_accept(2.5, t) for t in thresholds)
         assert accepted / n == pytest.approx(math.exp(-1), abs=0.005)
 
-    def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            tm.sa_accept(1.0, 0.0, random.Random(0))
+    def test_one_level_of_a_million_proposals_stays_small(self):
+        # drawing the whole level at once peaks at about 73 MB here
+        inst = random_instance(random.Random(5), 20)
+        cfg = tm.SaConfig(initial_temp=1e-3, cooling=0.5, min_temp=6e-4,
+                          iters_per_temp=10 ** 6, seed=1)
+        tracemalloc.start()
+        try:
+            result = tm.run_sa(inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.iterations_run, result.evaluations) == (1, 10 ** 6 + 1)
+        assert peak < 8e6
+
+
+def reference_sa(instance, cfg):
+    """run_sa one proposal at a time, as (best tour, best cost, iterations,
+    history, evaluations): the same draws (per level, blocks of 2**16
+    proposal indices, then as many uniforms) from a Generator seeded the same
+    way, each index looked up in a list of reversals built by hand."""
+    m = tm.build_distance_matrix(instance)
+    rows, n = m.rows(), instance.n
+    rng = random.Random(cfg.seed)
+    order = list(tm.random_tour(n, rng))
+    current = cycle_length(order, rows)
+    best_tour, best_cost, history, evaluations = tuple(order), current, [current], 1
+    if n >= 3:
+        gen = np.random.default_rng(rng.getrandbits(64))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, n - 1)]
+
+        def delta(i, j):
+            a, b, c, e = order[i - 1], order[i], order[j], order[(j + 1) % n]
+            return rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
+
+        temp = cfg.initial_temp
+        if temp is None:
+            temp = statistics.pstdev(delta(*pairs[k]) for k in gen.integers(len(pairs), size=100))
+        iters = cfg.iters_per_temp or n * n
+        while temp > cfg.min_temp:
+            left = iters
+            while left:
+                size = min(left, 2 ** 16)
+                left -= size
+                draws = gen.integers(len(pairs), size=size)
+                for k, threshold in zip(draws, sa_thresholds(temp, gen.random(size))):
+                    i, j = pairs[k]
+                    change = delta(i, j)
+                    evaluations += 1
+                    if change < threshold:
+                        order[i:j + 1] = reversed(order[i:j + 1])
+                        current += change
+                        if current < best_cost:
+                            actual = cycle_length(order, rows)
+                            if actual < best_cost:
+                                best_tour, best_cost = tuple(order), actual
+            current = cycle_length(order, rows)
+            temp *= cfg.cooling
+            history.append(best_cost)
+    best_tour = tm.canonicalize(best_tour)
+    return best_tour, cycle_length(best_tour, rows), len(history) - 1, tuple(history), evaluations
+
+
+def sa_reference_cases():
+    for seed in range(56):
+        n = 3 + seed % 28
+        cfg = tm.SaConfig(initial_temp=None if seed % 2 else 0.3, cooling=0.8,
+                          iters_per_temp=None if seed % 3 else 7, seed=seed)
+        yield pytest.param(random_instance(random.Random(seed), n), cfg, id=f"n{n}-seed{seed}")
+    # one level of more than one block, on integer distances that tie often
+    berlin52 = tm.packaged_instance("berlin52")
+    yield pytest.param(berlin52, tm.SaConfig(initial_temp=40.0, cooling=0.5, min_temp=30.0,
+                                             iters_per_temp=70_000, seed=3), id="berlin52-block")
 
 
 class TestRunSa:
@@ -240,6 +312,12 @@ class TestRunSa:
         b = tm.run_sa(five_city, tm.SaConfig(seed=13))
         assert (a.best_tour, a.best_cost, a.cost_history, a.evaluations) == \
                (b.best_tour, b.best_cost, b.cost_history, b.evaluations)
+
+    @pytest.mark.parametrize("instance, cfg", sa_reference_cases())
+    def test_equals_the_one_proposal_at_a_time_reference(self, instance, cfg):
+        result = tm.run_sa(instance, cfg)
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg)
 
     def test_tiny_instances(self):
         two = tm.Instance.from_coords("two", [(0, 0), (3, 4)])

@@ -167,6 +167,19 @@ class TestExperimentSpecValidation:
         with pytest.raises(tm.ConfigError):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 0, 0)
 
+    @pytest.mark.parametrize("runs, base_seed, reference", [
+        (2.5, 0, None), (True, 0, None), (1, "0", None), (1, 0, "7542"), (1, 0, float("inf"))],
+        ids=["runs-2.5", "runs-True", "base_seed-str", "reference-str", "reference-inf"])
+    def test_mistyped_fields(self, runs, base_seed, reference):
+        entry = tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig())
+        with pytest.raises(tm.ConfigError):
+            tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), runs, base_seed, reference)
+
+    def test_instance_source_must_be_text(self):
+        entry = tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig())
+        with pytest.raises(tm.ConfigError, match="instance_source"):
+            tm.ExperimentSpec(Path("five.csv"), (entry,), 1, 0)
+
     def test_duplicate_names(self):
         entry = tm.AlgorithmEntry("x", "pso", tm.SwarmConfig())
         with pytest.raises(tm.ConfigError):

@@ -3,9 +3,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tspmeta as tm
-from tspmeta.localsearch import IMPROVEMENT_EPS
+from tspmeta.localsearch import IMPROVEMENT_EPS, reversal_table
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -77,6 +79,29 @@ class TestTwoOpt:
         m = tm.build_distance_matrix(inst)
         tour = tm.random_tour(15, rng)
         assert tm.two_opt(tour, m) == tm.two_opt(tour, m)
+
+    def test_chosen_local_optimum_is_pinned(self):
+        # the certificate admits any 2-opt local optimum; this pins the one the
+        # best-improvement passes and their tie rule lead to
+        rng = random.Random(2025)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            n = rng.randint(4, 30)
+            m = tm.build_distance_matrix(random_instance(rng, n))
+            digest.update(repr(tm.two_opt(tm.random_tour(n, rng), m)).encode())
+        assert digest.hexdigest() == (
+            "70dcedfa5709668306f79213ea5120d4e5de07e6c38f9dab626290b3aa4005e8")
+
+
+@given(st.integers(2, 150))
+def test_reversal_table_lists_each_proper_reversal_once(n):
+    i, j, j_next = reversal_table(n)
+    assert len(i) == len(j) == len(j_next) == n * (n - 1) // 2 - 1
+    assert (i < j).all()
+    assert not ((i == 0) & (j == n - 1)).any()
+    assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
+    assert (j_next == (j + 1) % n).all()
+    assert not any(column.flags.writeable for column in (i, j, j_next))
 
 
 class TestThreeOpt:
