@@ -135,14 +135,13 @@ def swap_mutation_rows(tours: np.ndarray, gen: np.random.Generator) -> np.ndarra
     return out
 
 
-def tournament_winners(draws: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Per row of a (T, k) array of drawn population indices, the one with
-    the lexicographically smallest (cost, index)."""
-    best = draws[:, 0]
-    for c in draws.T[1:]:
-        better = (costs[c] < costs[best]) | ((costs[c] == costs[best]) & (c < best))
-        best = np.where(better, c, best)
-    return best
+def tournament_winners(draws: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """Per row of a (T, k) array of drawn population indices, the one that
+    comes first in ranked, the population in (cost, index) order (the
+    stable argsort of the costs)."""
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(ranked.size)
+    return ranked[rank[draws].min(axis=1)]
 
 
 def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
@@ -177,9 +176,10 @@ def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random
     yield best_tour, best_cost, evaluations
 
     for _ in range(cfg.generations):
-        kept = np.argsort(costs, kind="stable")[:elite]
+        ranked = np.argsort(costs, kind="stable")
+        kept = ranked[:elite]
         draws = gen.integers(size, size=(2 * count, cfg.tournament_k))
-        parents = tournament_winners(draws, costs)
+        parents = tournament_winners(draws, ranked)
         children = population[parents[:count]]
         crossed = np.flatnonzero(gen.random(count) < cfg.crossover_rate)
         cut_l = gen.integers(n, size=crossed.size)

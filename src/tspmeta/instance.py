@@ -50,7 +50,7 @@ class Instance:
             if c.id != i:
                 raise ValueError(f"city ids must be exactly 0..n-1 in order; got id {c.id} at position {i}")
             if not (math.isfinite(c.x) and math.isfinite(c.y)):
-                raise ValueError(f"city {c.id} has non-finite coordinates")
+                raise ValueError(f"city {i + 1} has non-finite coordinates")
         # Python floats overflow to inf just as build_distance_matrix's numpy
         # does, without a warning. The bounding box's diagonal bounds every
         # distance, so the pairwise scan runs only for coordinates spread over

@@ -76,20 +76,23 @@ def _three_opt_deltas(rows, a, b, c, e, f, g):
     )
 
 
+# _three_opt_deltas' cases as (second segment first, first reversed, second reversed)
+_RECONNECTIONS = (
+    (False, True, False),
+    (False, False, True),
+    (True, True, True),
+    (False, True, True),
+    (True, False, False),
+    (True, True, False),
+    (True, False, True),
+)
+
+
 def _three_opt_rebuild(seg1: list, seg2: list, case: int) -> list:
-    if case == 0:
-        return seg1[::-1] + seg2
-    if case == 1:
-        return seg1 + seg2[::-1]
-    if case == 2:
-        return seg2[::-1] + seg1[::-1]
-    if case == 3:
-        return seg1[::-1] + seg2[::-1]
-    if case == 4:
-        return seg2 + seg1
-    if case == 5:
-        return seg2 + seg1[::-1]
-    return seg2[::-1] + seg1
+    swapped, reverse1, reverse2 = _RECONNECTIONS[case]
+    first = seg1[::-1] if reverse1 else seg1
+    second = seg2[::-1] if reverse2 else seg2
+    return second + first if swapped else first + second
 
 
 def _first_improving_move(order: list, rows, n: int) -> tuple[int, int, int, int] | None:

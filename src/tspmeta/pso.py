@@ -158,102 +158,70 @@ def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
     return cfg.w
 
 
-def _polish(tour: Tour, m: DistanceMatrix, mode: LocalSearch) -> Tour:
-    if mode is LocalSearch.THREE_OPT_GBEST:
-        return three_opt(tour, m)
-    return two_opt(tour, m)
+# the local search each gbest-scoped mode polishes a step's lead with
+_LEAD_POLISH = {LocalSearch.TWO_OPT_GBEST: two_opt, LocalSearch.THREE_OPT_GBEST: three_opt}
 
 
 def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
          rng: random.Random) -> SwarmState:
     """One swarm iteration.
 
-    Per particle, in index order: velocity update, position update, local
-    search when the mode covers every particle, cost evaluation, then
+    Per particle, in index order: velocity update, position update, 2-opt
+    when the mode covers every particle, cost evaluation, then
     strict-improvement pbest and gbest updates (later particles see gbest
     updates from earlier ones in the same step).
 
-    The gbest-scoped modes instead refine one tour per iteration: the best
-    newly produced position (the iteration's gbest candidate, lowest index
-    on ties) is polished after the sweep, re-evaluated, and folded back
-    into that particle's position/pbest and the swarm gbest. This bounds
-    local-search work to a single polish per iteration while still
-    improving a fresh tour each time.
+    The gbest-scoped modes then polish one tour, the lead: the cheapest new
+    position that is not the step's starting gbest, lowest index on ties. A
+    polish that changes the lead is re-evaluated and folded into that
+    particle's position and pbest and the swarm gbest by the same updates.
+    This bounds local-search work to one polish per step.
     """
     rows = m.rows()
     w_now = _inertia_now(cfg, state.iteration)
     gbest, gbest_cost = state.gbest, state.gbest_cost
-    evaluations = state.evaluations
-    particles: list[Particle] = []
-    new_costs: list[float] = []
 
+    def visit(p: Particle, position: Tour, velocity: SwapSequence, cost: float) -> Particle:
+        nonlocal gbest, gbest_cost
+        pbest, pbest_cost = (position, cost) if cost < p.pbest_cost else (p.pbest, p.pbest_cost)
+        if pbest_cost < gbest_cost:
+            gbest, gbest_cost = pbest, pbest_cost
+        return Particle(position, velocity, pbest, pbest_cost)
+
+    particles, costs = [], []
     for p in state.particles:
         velocity = velocity_update(p, gbest, w_now, cfg.c1, cfg.c2, rng)
         position = apply_swaps(p.position, velocity)
         if cfg.local_search is LocalSearch.TWO_OPT_ALL:
             position = two_opt(position, m)
-        cost = cycle_length(position, rows)
-        evaluations += 1
+        costs.append(cycle_length(position, rows))
+        particles.append(visit(p, position, velocity, costs[-1]))
+    evaluations = state.evaluations + len(particles)
 
-        pbest, pbest_cost = p.pbest, p.pbest_cost
-        if cost < pbest_cost:
-            pbest, pbest_cost = position, cost
-        if pbest_cost < gbest_cost:
-            gbest, gbest_cost = pbest, pbest_cost
-        particles.append(Particle(position, velocity, pbest, pbest_cost))
-        new_costs.append(cost)
-
-    if cfg.local_search in (LocalSearch.TWO_OPT_GBEST, LocalSearch.THREE_OPT_GBEST):
-        if gbest_cost < state.gbest_cost:
-            # the fresh gbest holder has never been polished; refine it
-            pool = range(len(particles))
-        else:
-            # no lead change: refine the best tour not already sitting on gbest
-            pool = [i for i in range(len(particles)) if particles[i].position != gbest]
-        lead = min(pool, key=lambda i: (new_costs[i], i), default=None)
+    polish = _LEAD_POLISH.get(cfg.local_search)
+    if polish is not None:
+        lead = min((i for i, p in enumerate(particles) if p.position != state.gbest),
+                   key=costs.__getitem__, default=None)
         if lead is not None:
-            candidate = particles[lead]
-            polished = _polish(candidate.position, m, cfg.local_search)
-            if polished != candidate.position:
-                cost = cycle_length(polished, rows)
+            p = particles[lead]
+            polished = polish(p.position, m)
+            if polished != p.position:
                 evaluations += 1
-                pbest, pbest_cost = candidate.pbest, candidate.pbest_cost
-                if cost < pbest_cost:
-                    pbest, pbest_cost = polished, cost
-                if pbest_cost < gbest_cost:
-                    gbest, gbest_cost = pbest, pbest_cost
-                particles[lead] = Particle(polished, candidate.velocity, pbest, pbest_cost)
+                particles[lead] = visit(p, polished, p.velocity, cycle_length(polished, rows))
 
-    return SwarmState(
-        particles=tuple(particles),
-        gbest=gbest,
-        gbest_cost=gbest_cost,
-        iteration=state.iteration + 1,
-        evaluations=evaluations,
-    )
+    return SwarmState(tuple(particles), gbest, gbest_cost, state.iteration + 1, evaluations)
 
 
 def init_state(instance: Instance, cfg: SwarmConfig, m: DistanceMatrix,
                rng: random.Random) -> SwarmState:
     """Random starting swarm: each particle's initial position is its pbest,
-    velocities start empty, gbest is the best initial pbest."""
+    velocities start empty, gbest is the best initial pbest (the first on
+    ties)."""
     rows = m.rows()
-    particles = []
-    gbest: Tour | None = None
-    gbest_cost = float("inf")
-    for _ in range(cfg.n_particles):
-        tour = random_tour(instance.n, rng)
-        cost = cycle_length(tour, rows)
-        particles.append(Particle(tour, (), tour, cost))
-        if cost < gbest_cost:
-            gbest, gbest_cost = tour, cost
-    return SwarmState(
-        particles=tuple(particles),
-        gbest=gbest,
-        gbest_cost=gbest_cost,
-        iteration=0,
-        evaluations=cfg.n_particles,
-    )
+    tours = (random_tour(instance.n, rng) for _ in range(cfg.n_particles))
+    particles = tuple(Particle(tour, (), tour, cycle_length(tour, rows)) for tour in tours)
+    best = min(particles, key=lambda p: p.pbest_cost)
+    return SwarmState(particles, best.pbest, best.pbest_cost, 0, cfg.n_particles)
 
 
 def _search(instance: Instance, cfg: SwarmConfig, m: DistanceMatrix, rng: random.Random):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -105,7 +107,8 @@ class TestBatchedOperators:
     @given(tournaments())
     def test_tournament_winner_is_the_lexicographic_minimum(self, costs_and_draws):
         costs, draws = costs_and_draws
-        winners = tournament_winners(np.array(draws), np.array(costs, dtype=float))
+        ranked = np.argsort(np.array(costs, dtype=float), kind="stable")
+        winners = tournament_winners(np.array(draws), ranked)
         assert winners.tolist() == [min(row, key=lambda i: (costs[i], i)) for row in draws]
 
 
@@ -186,6 +189,25 @@ class TestRunGa:
         history = result.cost_history
         assert len(history) == 7 and all(a >= b for a, b in zip(history, history[1:]))
         assert result.evaluations == population + 6 * (population - elitism)
+
+    def test_results_are_pinned(self):
+        # pins tour, cost, history and evaluations with no elite and an all-elite
+        # population, and tournaments of one and of the whole population; the
+        # rounded grid ties often
+        digest = hashlib.sha256()
+        grid = tm.Instance.from_coords("grid", [(i % 4 * 10, i // 4 * 10) for i in range(12)],
+                                       tm.Metric.EUCLIDEAN_ROUNDED)
+        for inst in [random_instance(random.Random(n), n) for n in range(1, 10)] + [grid]:
+            for population in (1, 2, 7, 20):
+                for elitism, k in itertools.product(sorted({0, population}),
+                                                 sorted({1, population})):
+                    cfg = tm.GaConfig(population=population, generations=8, elitism=elitism,
+                                      tournament_k=k, mutation_rate=0.5, seed=inst.n + k)
+                    result = tm.run_ga(inst, cfg)
+                    digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
+                                        result.evaluations)).encode())
+        assert digest.hexdigest() == (
+            "f94e74cb86287176da37c906998a227c7c5b64b22f0211aedcbe8d4c6944e2ea")
 
     @pytest.mark.parametrize("kwargs", [
         dict(population=0),

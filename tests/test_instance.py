@@ -216,6 +216,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             tm.Instance.from_coords("bad", [(0.0, float("nan"))])
 
+    def test_cities_are_numbered_from_one_in_errors(self):
+        # as in the overflow message, the second city is city 2
+        with pytest.raises(ValueError, match="city 2 has non-finite"):
+            tm.Instance.from_coords("bad", [(0.0, 0.0), (float("nan"), 1.0)])
+
     def test_metric_given_as_its_value(self):
         # the diagonal of a square of side 1.4 is 1.9799, which the rounded metric makes 2
         coords = [(0.0, 0.0), (1.4, 0.0), (1.4, 1.4), (0.0, 1.4)]

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tspmeta as tm
-from tspmeta.localsearch import IMPROVEMENT_EPS, reversal_table
+from tspmeta.instance import cycle_length
+from tspmeta.localsearch import (IMPROVEMENT_EPS, _three_opt_deltas, _three_opt_rebuild,
+                                  reversal_table)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -161,6 +163,21 @@ class TestThreeOpt:
             digest.update(repr(tm.three_opt(tm.random_tour(n, rng), m)).encode())
         assert digest.hexdigest() == (
             "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
+
+    def test_each_case_delta_matches_its_rebuilt_tour(self):
+        rng = random.Random(2027)
+        for n in range(3, 13):
+            for _ in range(3):
+                rows = tm.build_distance_matrix(random_instance(rng, n)).rows()
+                order = list(tm.random_tour(n, rng))
+                length = cycle_length(order, rows)
+                for i, j, k in itertools.combinations(range(n), 3):
+                    ends = order[i], order[i + 1], order[j], order[j + 1], order[k]
+                    deltas = _three_opt_deltas(rows, *ends, order[(k + 1) % n])
+                    for case, delta in enumerate(deltas):
+                        rebuilt = (order[:i + 1] + _three_opt_rebuild(
+                            order[i + 1:j + 1], order[j + 1:k + 1], case) + order[k + 1:])
+                        assert abs(cycle_length(rebuilt, rows) - length - delta) <= 1e-12
 
     def test_tiny_instances_returned_unchanged(self):
         inst = tm.Instance.from_coords("two", [(0, 0), (1, 0)])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -8,6 +9,13 @@ from tspmeta.pso import _inertia_now, init_state
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
+# sha256 of TestRun.test_results_are_pinned's results per local-search mode
+PSO_PINS = {
+    "none": "bf0440c388c0971db3fc5340710607ab5fc566955e272b50d843e296929ae325",
+    "two-opt-gbest": "f30dad183d2ed6d55e31cae78d957e7d778a1c7a5becf868ce1bae37318e67f3",
+    "two-opt-all": "108f0fa62b346be0f32adbbea6097ca38b78e2836bd62f9a093264b49e377511",
+    "three-opt-gbest": "ceecf50869addb278b08d6e054a571ebf66d29dfaacb5cb600b11f70128e6853",
+}
 
 
 class TestSwapDifference:
@@ -236,6 +244,24 @@ class TestRun:
         result = tm.run_pso(five_city, tm.SwarmConfig(seed=0, stagnation_limit=5))
         assert result.iterations_run < 100
         assert result.best_cost == pytest.approx(FIVE_CITY_OPT_COST, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", list(tm.LocalSearch))
+    def test_results_are_pinned(self, mode):
+        # pins tour, cost, history and evaluations of each mode, with and without
+        # the inertia decay and the stagnation stop; the rounded grids tie often
+        rng = random.Random(2026)
+        grids = [tm.Instance.from_coords("grid", [(i % 4 * 10, i // 4 * 10) for i in range(n)],
+                                         tm.Metric.EUCLIDEAN_ROUNDED) for n in (9, 12)]
+        digest = hashlib.sha256()
+        for w_end, stagnation_limit in [(None, None), (0.3, None), (None, 3), (0.1, 2)]:
+            for inst in grids + [random_instance(rng, n) for n in (3, 5, 8, 11)]:
+                cfg = tm.SwarmConfig(n_particles=rng.randint(1, 8), max_iter=12, w_end=w_end,
+                                     local_search=mode, stagnation_limit=stagnation_limit,
+                                     seed=rng.randrange(1000))
+                result = tm.run_pso(inst, cfg)
+                digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
+                                    result.evaluations)).encode())
+        assert digest.hexdigest() == PSO_PINS[mode.value]
 
     def test_permutation_safety_random_configs(self):
         rng = random.Random(55)
