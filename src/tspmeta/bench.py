@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import statistics
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -161,11 +162,20 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     )
 
 
+def load_instance_reporting(path: str) -> Instance:
+    """load_instance_file's instance, with each parse warning printed to
+    stderr as `warning: file:line: message`. `solve` and `bench` load
+    instance files through here."""
+    instance, diags = load_instance_file(path)
+    for line, message in diags.warnings:
+        print(f"warning: {diags.source_name}:{line}: {message}", file=sys.stderr)
+    return instance
+
+
 def resolve_instance(source: str) -> Instance:
     if source == BUILTIN_INSTANCE_MARKER:
         return five_city_instance()
-    instance, _ = load_instance_file(source)
-    return instance
+    return load_instance_reporting(source)
 
 
 def run_trial(instance: Instance, entry: AlgorithmEntry, seed: int, run_index: int) -> TrialRecord:

@@ -21,12 +21,7 @@ from . import bench as bench_mod
 from .errors import TspmetaError
 from .instance import Instance, Metric, Tour, brute_force_optimal, validate_tour
 from .svgplot import render_tour_svg
-from .tsplib import (
-    five_city_instance,
-    load_instance_file,
-    write_coords_csv,
-    write_tsplib,
-)
+from .tsplib import five_city_instance, write_coords_csv, write_tsplib
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -43,10 +38,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
         return five_city_instance()
     if not args.instance:
         raise TspmetaError("no instance given (pass a file or --builtin-paper)")
-    instance, diags = load_instance_file(args.instance)
-    for line, message in diags.warnings:
-        print(f"warning: {diags.source_name}:{line}: {message}", file=sys.stderr)
-    return instance
+    return bench_mod.load_instance_reporting(args.instance)
 
 
 def _format_tour(tour: Tour) -> str:

@@ -78,7 +78,7 @@ class Instance:
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     n: int
-    d: np.ndarray  # (n, n) float64: symmetric, zero diagonal, finite, >= 0
+    d: np.ndarray  # (n, n) float64, read-only: symmetric, zero diagonal, finite, >= 0
 
     def rows(self) -> list[list[float]]:
         """Plain nested lists of the same float64 values, for tight loops."""
@@ -100,6 +100,7 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     d = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
     if instance.metric is Metric.EUCLIDEAN_ROUNDED:
         d = np.floor(d + 0.5)
+    d.setflags(write=False)  # a kernel that writes into it by mistake raises
     return DistanceMatrix(n=instance.n, d=d)
 
 

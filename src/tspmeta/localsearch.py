@@ -39,27 +39,57 @@ def reversal_deltas(order: np.ndarray, d: np.ndarray, i_idx, j_idx, j_next) -> n
     return d[a, c] + d[b, e] - d[a, b] - d[c, e]
 
 
+@functools.lru_cache(maxsize=8)
+def _tour_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat offsets into a row-major n x n matrix P indexed by tour position:
+    of P[i-1, j], P[i, j+1] and P[i-1, i] for each of reversal_table(n)'s
+    (i, j), and of P[k, k+1], the edge leaving position k, for each k; -1
+    and n wrap around. Cached like the table."""
+    i_idx, j_idx, j_next = reversal_table(n)
+    i_prev = (i_idx - 1) % n
+    k = np.arange(n)
+    offsets = (i_prev * n + j_idx, i_idx * n + j_next, i_prev * n + i_idx, k * n + (k + 1) % n)
+    for column in offsets:
+        column.setflags(write=False)
+    return offsets
+
+
 def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """Repeat best-improvement passes over all segment reversals (i, j),
     0 <= i < j < n (full-tour reversal excluded), applying the single most
     improving move per pass, until 2-opt locally optimal. Move deltas use
     the four-edge formula; ties go to the lexicographically smallest (i, j).
+
+    The passes read a copy of the matrix permuted into tour order,
+    tour_d[r, c] = d[order[r], order[c]], so each delta is gathered from one
+    flat array; each move reverses tour_d's rows and columns i..j along with
+    the tour.
+    The deltas are reversal_deltas' sums, term for term in the same order,
+    so the moves and the result are the same as scanning d.
     """
     n = m.n
     if n < 4:
         return t
-    d = m.d
-    i_idx, j_idx, j_next = reversal_table(n)
+    i_idx, j_idx, _ = reversal_table(n)
+    ac, be, ab, edge = _tour_offsets(n)
 
     order = np.array(t, dtype=np.intp)
+    tour_d = m.d[order[:, None], order]
+    flat = tour_d.reshape(-1)
     while True:
-        delta = reversal_deltas(order, d, i_idx, j_idx, j_next)
-        k = int(np.argmin(delta))
+        leaving = flat.take(edge)  # P[k, k+1]: each reversal's edge (j, j+1) is leaving[j]
+        delta = flat.take(ac)
+        delta += flat.take(be)
+        delta -= flat.take(ab)
+        delta -= leaving.take(j_idx)
+        k = int(delta.argmin())
         if delta[k] >= -IMPROVEMENT_EPS:
             break
         i, j = int(i_idx[k]), int(j_idx[k])
         order[i:j + 1] = order[i:j + 1][::-1]
-    return tuple(int(c) for c in order)
+        tour_d[i:j + 1] = tour_d[i:j + 1][::-1]
+        tour_d[:, i:j + 1] = tour_d[:, i:j + 1][:, ::-1]
+    return tuple(order.tolist())
 
 
 def _three_opt_deltas(rows, a, b, c, e, f, g):

@@ -183,6 +183,20 @@ class TestBench:
 
         assert strip_wall(paths[0]) == strip_wall(paths[1])
 
+    def test_prints_the_parse_warnings_solve_prints_once(self, tmp_path, capsys):
+        text = tsplib_text([(0, 0), (1, 3), (4, 3), (6, 1), (3, 0)]).replace(
+            "EDGE_WEIGHT_TYPE: EUC_2D\n", "FOO: 1\n")  # unknown keyword, no weight type
+        instance = tmp_path / "t.tsp"
+        instance.write_text(text)
+        assert main(["solve", str(instance), "--algo", "sa"]) == 0
+        warned = capsys.readouterr().err.splitlines()
+        assert len(warned) == 2 and all(line.startswith("warning: t.tsp:") for line in warned)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"instance": str(instance), "runs_per_algorithm": 2,
+                                    "base_seed": 0, "algorithms": [{"name": "sa", "kind": "sa"}]}))
+        assert main(["bench", str(spec), "--threads", "2"]) == 0
+        assert capsys.readouterr().err.splitlines() == warned
+
     def test_spec_without_algorithms_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "empty.json"
         bad.write_text(json.dumps({

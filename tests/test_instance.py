@@ -55,6 +55,32 @@ class TestBuildDistanceMatrix:
                     assert m.d[i][j] == m.d[j][i]
                     assert m.d[i][j] >= 0.0
 
+    def test_read_only_and_left_intact_by_two_opt(self):
+        rng = random.Random(11)
+        m = tm.build_distance_matrix(random_instance(rng, 30))
+        assert not m.d.flags.writeable
+        before = m.d.tobytes()
+        tm.two_opt(tm.random_tour(30, rng), m)
+        assert m.d.tobytes() == before
+        with pytest.raises(ValueError):
+            m.d[0, 1] = 0.0
+
+    @pytest.mark.parametrize("solver", SEARCH_SOLVERS)
+    def test_solvers_leave_their_matrix_intact(self, monkeypatch, solver):
+        build, built = tm.build_distance_matrix, []
+
+        def recording(instance):
+            built.append(build(instance))
+            return built[-1]
+
+        monkeypatch.setattr(tm.instance, "build_distance_matrix", recording)
+        inst = random_instance(random.Random(12), 12)
+        runner, cfg = SEARCH_SOLVERS[solver]
+        runner(inst, cfg)
+        (m,) = built
+        assert not m.d.flags.writeable
+        assert m.d.tobytes() == build(inst).d.tobytes()
+
     def test_rounded_metric_is_nearest_integer(self):
         inst = tm.Instance.from_coords(
             "r", [(0.0, 0.0), (1.0, 3.0)], tm.Metric.EUCLIDEAN_ROUNDED)

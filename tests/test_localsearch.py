@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 import random
+import signal
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import (IMPROVEMENT_EPS, _three_opt_deltas, _three_opt_rebuild,
-                                  reversal_table)
+                                  reversal_deltas, reversal_table)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -28,6 +30,53 @@ def improving_reversal_exists(tour, m) -> bool:
             if tm.tour_length(candidate, m) < base - IMPROVEMENT_EPS:
                 return True
     return False
+
+
+def reference_two_opt(t, m):
+    """The scan two_opt must reproduce bit for bit: each pass takes
+    reversal_deltas straight from d over the whole reversal table and
+    applies the argmin move, the lexicographically first on ties."""
+    n = m.n
+    if n < 4:
+        return t
+    d = m.d
+    i_idx, j_idx, j_next = reversal_table(n)
+
+    order = np.array(t, dtype=np.intp)
+    while True:
+        delta = reversal_deltas(order, d, i_idx, j_idx, j_next)
+        k = int(np.argmin(delta))
+        if delta[k] >= -IMPROVEMENT_EPS:
+            break
+        i, j = int(i_idx[k]), int(j_idx[k])
+        order[i:j + 1] = order[i:j + 1][::-1]
+    return tuple(int(c) for c in order)
+
+
+def two_opt_in_time(tour, m, seconds: float = 5.0):
+    """two_opt(tour, m), or TimeoutError once it has run for `seconds`: a
+    tour-ordered matrix that falls out of step with the tour can make the
+    passes cycle forever, and this turns that into a failure."""
+    def expire(signum, frame):
+        raise TimeoutError(f"two_opt still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return tm.two_opt(tour, m)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def uniform_or_grid_instance(rng, n: int, grid: bool) -> tm.Instance:
+    """Uniform points, or integer points on a small grid under the rounded
+    metric: many tied deltas and, often, duplicate cities."""
+    if not grid:
+        return random_instance(rng, n)
+    side = rng.randint(2, 12)
+    coords = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
+    return tm.Instance.from_coords("grid", coords, tm.Metric.EUCLIDEAN_ROUNDED)
 
 
 def best_reconnection_gain(tour, m) -> float:
@@ -93,6 +142,25 @@ class TestTwoOpt:
             digest.update(repr(tm.two_opt(tm.random_tour(n, rng), m)).encode())
         assert digest.hexdigest() == (
             "70dcedfa5709668306f79213ea5120d4e5de07e6c38f9dab626290b3aa4005e8")
+
+
+# no shrinking: an example is already just (n, grid, seed), and each shrink
+# step of a kernel that cycles would wait out two_opt_in_time
+@settings(max_examples=200, phases=(Phase.generate,))
+@given(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
+def test_two_opt_equals_the_reference_scan(n, grid, seed):
+    rng = random.Random(seed)
+    m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
+    tour = tm.random_tour(n, rng)
+    assert two_opt_in_time(tour, m) == reference_two_opt(tour, m)
+
+
+def test_two_opt_equals_the_reference_scan_on_berlin52(berlin52):
+    m = tm.build_distance_matrix(berlin52)
+    rng = random.Random(52)
+    for _ in range(6):
+        tour = tm.random_tour(m.n, rng)
+        assert two_opt_in_time(tour, m) == reference_two_opt(tour, m)
 
 
 @given(st.integers(2, 150))
