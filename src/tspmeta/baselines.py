@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_types
+from .errors import MAX_POPULATION, ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
                        random_tour, run_search)
 from .localsearch import reversal_deltas, reversal_table
@@ -32,6 +32,8 @@ class GaConfig:
         check_types(self)
         if self.population < 1 or self.generations < 1:
             raise ConfigError("population and generations must be >= 1")
+        if self.population > MAX_POPULATION:
+            raise ConfigError(f"population must be <= {MAX_POPULATION}")
         if not 0.0 <= self.crossover_rate <= 1.0 or not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigError("crossover_rate and mutation_rate must be in [0, 1]")
         if not 1 <= self.tournament_k <= self.population:

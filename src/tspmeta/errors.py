@@ -30,6 +30,12 @@ class ConfigError(TspmetaError):
     """An algorithm or experiment configuration is invalid."""
 
 
+# The most tours a swarm or a GA population may hold. Both build their tours
+# one at a time in Python, so a larger size would run for minutes before the
+# first iteration; the configs in use hold at most a few hundred.
+MAX_POPULATION = 10_000
+
+
 def _describe(t: type) -> str:
     if t is int:
         return "an integer"

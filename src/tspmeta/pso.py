@@ -10,6 +10,12 @@ two attraction terms, stochastically truncating each term to scale it, and
 concatenating. Applying transpositions can never leave the permutation
 space, so position updates need no repair step.
 
+The swarm is mostly close to converged, so the work follows the
+disagreement: swap_difference walks only the positions where the two tours
+differ (and returns at once when they agree), and each particle's velocity
+and position come from one move that applies the kept swaps to one list,
+range-checking only the inertia swaps it did not derive itself.
+
 Stream discipline (one shared random.Random per run): initialization
 shuffles tours for particles 0..n-1 in order; each step then consumes, per
 particle in index order, exactly two uniforms per term (magnitude draw,
@@ -26,8 +32,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import ne
 
-from .errors import ConfigError, DimensionMismatchError, check_types
+from .errors import MAX_POPULATION, ConfigError, DimensionMismatchError, check_types
 from .instance import DistanceMatrix, Instance, RunResult, Tour, cycle_length, random_tour, run_search
 from .localsearch import three_opt, two_opt
 
@@ -56,8 +64,8 @@ class SwarmConfig:
 
     def __post_init__(self):
         check_types(self)
-        if self.n_particles < 1:
-            raise ConfigError("n_particles must be >= 1")
+        if not 1 <= self.n_particles <= MAX_POPULATION:
+            raise ConfigError(f"n_particles must be in 1..{MAX_POPULATION}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if not 0.0 <= self.w <= 1.0:
@@ -93,32 +101,52 @@ def swap_difference(frm: Tour, to: Tour) -> SwapSequence:
     Selection pass: walk positions left to right; whenever the working copy
     disagrees with the target, swap in the target's city from wherever it
     currently sits. At most n-1 swaps; empty when the tours already agree.
+
+    Only the positions where frm and to disagree are walked, in ascending
+    order, which gives the same swaps in the same order: a position that
+    agrees is never swapped, because no other position's target city can
+    sit there. So `where` needs entries only for the cities at mismatched
+    positions, and as a walked position is never read again, a swap writes
+    only the city it displaces.
     """
-    if len(frm) != len(to):
-        raise DimensionMismatchError(f"tour sizes differ: {len(frm)} vs {len(to)}")
+    n = len(frm)
+    if n != len(to):
+        raise DimensionMismatchError(f"tour sizes differ: {n} vs {len(to)}")
+    if frm == to:
+        return ()
+    mismatched = list(compress(range(n), map(ne, frm, to)))
     working = list(frm)
-    where = {city: idx for idx, city in enumerate(working)}
+    where = [0] * n
+    for k in mismatched:
+        where[working[k]] = k
     swaps: list[tuple[int, int]] = []
-    for k, target in enumerate(to):
-        current = working[k]
+    for k in mismatched:
+        current, target = working[k], to[k]
         if current != target:
             j = where[target]
-            working[k], working[j] = working[j], working[k]
+            working[j] = current
             where[current] = j
-            where[target] = k
             swaps.append((k, j))
     return tuple(swaps)
 
 
-def apply_swaps(t: Tour, s: SwapSequence) -> Tour:
-    """Apply transpositions left to right; always yields a valid permutation."""
-    n = len(t)
-    order = list(t)
+def _check_swaps(s: SwapSequence, n: int) -> None:
     for i, j in s:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"swap ({i}, {j}) out of range for n={n}")
+
+
+def _swapped(t: Tour, s: SwapSequence) -> Tour:
+    order = list(t)
+    for i, j in s:
         order[i], order[j] = order[j], order[i]
     return tuple(order)
+
+
+def apply_swaps(t: Tour, s: SwapSequence) -> Tour:
+    """Apply transpositions left to right; always yields a valid permutation."""
+    _check_swaps(s, len(t))
+    return _swapped(t, s)
 
 
 def stochastic_scale(s: SwapSequence, coefficient: float, rng: random.Random) -> SwapSequence:
@@ -140,16 +168,32 @@ def stochastic_scale(s: SwapSequence, coefficient: float, rng: random.Random) ->
     return s[:keep]
 
 
-def velocity_update(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float,
-                    rng: random.Random) -> SwapSequence:
-    """Inertia, cognitive, and social terms concatenated in that fixed order;
-    the result is truncated to 2n swaps so velocities cannot grow without
-    bound."""
+def _move(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float,
+          rng: random.Random) -> tuple[SwapSequence, Tour]:
+    """A particle's new velocity and the position it moves to.
+
+    The velocity is the inertia, cognitive and social terms concatenated in
+    that fixed order and truncated to 2n swaps, so velocities cannot grow
+    without bound; the position applies it to the particle's position. Only
+    the inertia prefix is range-checked (ValueError): the other swaps come
+    from this call's own swap_difference, in range by construction.
+    """
     n = len(p.position)
     inertia = stochastic_scale(p.velocity, w_now, rng)
     cognitive = stochastic_scale(swap_difference(p.position, p.pbest), c1, rng)
     social = stochastic_scale(swap_difference(p.position, gbest), c2, rng)
-    return (inertia + cognitive + social)[:2 * n]
+    velocity = (inertia + cognitive + social)[:2 * n]
+    _check_swaps(velocity[:len(inertia)], n)
+    return velocity, _swapped(p.position, velocity)
+
+
+def velocity_update(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float,
+                    rng: random.Random) -> SwapSequence:
+    """The velocity of the particle's move: inertia, cognitive, and social
+    terms concatenated in that fixed order; the result is truncated to 2n
+    swaps so velocities cannot grow without bound. Raises ValueError when a
+    kept inertia swap is out of range."""
+    return _move(p, gbest, w_now, c1, c2, rng)[0]
 
 
 def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
@@ -190,8 +234,7 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
 
     particles, costs = [], []
     for p in state.particles:
-        velocity = velocity_update(p, gbest, w_now, cfg.c1, cfg.c2, rng)
-        position = apply_swaps(p.position, velocity)
+        velocity, position = _move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
         if cfg.local_search is LocalSearch.TWO_OPT_ALL:
             position = two_opt(position, m)
         costs.append(cycle_length(position, rows))

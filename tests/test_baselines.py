@@ -14,6 +14,7 @@ import tspmeta as tm
 from conftest import random_instance
 from tspmeta.baselines import (order_crossover_rows, sa_thresholds, swap_mutation_rows,
                                tournament_winners)
+from tspmeta.errors import MAX_POPULATION
 from tspmeta.instance import cycle_length, cycle_lengths
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -218,6 +219,8 @@ class TestRunGa:
         dict(tournament_k=51),
         dict(elitism=51),
         dict(tournament_k=1.5),
+        dict(population=MAX_POPULATION + 1),
+        dict(population=10**20),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(tm.ConfigError, match=rf"\b{next(iter(kwargs))}\b"):

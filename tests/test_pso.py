@@ -3,9 +3,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tspmeta as tm
-from tspmeta.pso import _inertia_now, init_state
+from tspmeta.errors import MAX_POPULATION
+from tspmeta.pso import _inertia_now, _move, init_state
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -18,7 +21,61 @@ PSO_PINS = {
 }
 
 
+def reference_swap_difference(frm, to):
+    """The full selection pass over every position, with a dict of where
+    each city sits: the scan that swap_difference must equal exactly."""
+    if len(frm) != len(to):
+        raise tm.DimensionMismatchError(f"tour sizes differ: {len(frm)} vs {len(to)}")
+    working = list(frm)
+    where = {city: idx for idx, city in enumerate(working)}
+    swaps = []
+    for k, target in enumerate(to):
+        current = working[k]
+        if current != target:
+            j = where[target]
+            working[k], working[j] = working[j], working[k]
+            where[current] = j
+            where[target] = k
+            swaps.append((k, j))
+    return tuple(swaps)
+
+
+def reference_move(p, gbest, w_now, c1, c2, rng):
+    """The velocity update and position update composed from the public
+    parts, as step made them one particle at a time."""
+    n = len(p.position)
+    inertia = tm.stochastic_scale(p.velocity, w_now, rng)
+    cognitive = tm.stochastic_scale(reference_swap_difference(p.position, p.pbest), c1, rng)
+    social = tm.stochastic_scale(reference_swap_difference(p.position, gbest), c2, rng)
+    velocity = (inertia + cognitive + social)[:2 * n]
+    return velocity, tm.apply_swaps(p.position, velocity)
+
+
+@st.composite
+def tour_pairs(draw):
+    """(frm, to) for n = 0..60: equal, a few random transpositions apart, or
+    independent random tours."""
+    n = draw(st.integers(0, 60))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    frm = tuple(rng.sample(range(n), n))
+    kind = draw(st.sampled_from(["equal", "near", "independent"]))
+    if kind == "equal":
+        return frm, frm
+    if kind == "independent":
+        return frm, tuple(rng.sample(range(n), n))
+    to = list(frm)
+    for _ in range(draw(st.integers(1, 4)) if n > 1 else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        to[i], to[j] = to[j], to[i]
+    return frm, tuple(to)
+
+
 class TestSwapDifference:
+    @given(tour_pairs())
+    def test_equals_the_full_scan_reference(self, pair):
+        frm, to = pair
+        assert tm.swap_difference(frm, to) == reference_swap_difference(frm, to)
+
     def test_identical_tours_give_empty_sequence(self):
         assert tm.swap_difference((0, 1, 2, 3, 4), (0, 1, 2, 3, 4)) == ()
 
@@ -136,7 +193,42 @@ class TestVelocityUpdate:
             tm.validate_tour(tm.apply_swaps(pos, v), n)
 
 
+class TestMove:
+    def test_equals_the_composed_reference(self):
+        # fuzzed particles, velocities up to 3n swaps (over the 2n cap), and
+        # every coefficient sometimes at 0: the same velocity and position,
+        # from velocity_update too, and the same stream state after
+        rng = random.Random(808)
+        for case in range(600):
+            n = rng.randint(1, 40)
+            position = tm.random_tour(n, rng)
+            pbest = rng.choice([position, tm.random_tour(n, rng)])
+            gbest = rng.choice([position, pbest, tm.random_tour(n, rng)])
+            velocity = tuple((rng.randrange(n), rng.randrange(n))
+                             for _ in range(rng.randint(0, 3 * n)))
+            p = tm.Particle(position, velocity, pbest, 0.0)
+            w, c1, c2 = (rng.choice([0.0, rng.random() * scale]) for scale in (1, 2, 2))
+            seed = rng.randrange(2**32)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            expected = reference_move(p, gbest, w, c1, c2, theirs)
+            assert _move(p, gbest, w, c1, c2, ours) == expected, case
+            assert ours.getstate() == theirs.getstate()
+            assert tm.velocity_update(p, gbest, w, c1, c2, random.Random(seed)) == expected[0]
+
+
 class TestStep:
+    @pytest.mark.parametrize("bad", [(0, 5), (-1, 0)])
+    def test_out_of_range_velocity_raises(self, five_city, bad):
+        # an inertia of 1 keeps a prefix of at least one swap at seed 0
+        m = tm.build_distance_matrix(five_city)
+        tour = (0, 1, 2, 3, 4)
+        cost = tm.tour_length(tour, m)
+        particle = tm.Particle(tour, (bad,) * 10, tour, cost)
+        state = tm.SwarmState((particle,), tour, cost, 0, 1)
+        cfg = tm.SwarmConfig(n_particles=1, w=1.0, local_search=tm.LocalSearch.NONE)
+        with pytest.raises(ValueError, match="out of range"):
+            tm.pso_step(state, cfg, m, random.Random(0))
+
     def test_swarm_at_optimum_is_a_fixed_point(self, five_city):
         m = tm.build_distance_matrix(five_city)
         cfg = tm.SwarmConfig(n_particles=4, seed=0)
@@ -321,6 +413,8 @@ class TestSwarmConfigValidation:
         dict(max_iter=True),
         dict(w="0.8"),
         dict(stagnation_limit=1.5),
+        dict(n_particles=MAX_POPULATION + 1),
+        dict(n_particles=10**20),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(tm.ConfigError, match=rf"\b{next(iter(kwargs))}\b"):
