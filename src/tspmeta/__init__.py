@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     InstanceTooLargeError,
+    InvalidTourError,
     ParseError,
     TspmetaError,
     UnsupportedFormatError,

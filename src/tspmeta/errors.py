@@ -30,6 +30,11 @@ class ConfigError(TspmetaError):
     """An algorithm or experiment configuration is invalid."""
 
 
+class InvalidTourError(TspmetaError, ValueError):
+    """A tour is not a permutation of 0..n-1. A ValueError too, so that
+    callers that catch ValueError from validate_tour still catch it."""
+
+
 # The most tours a swarm or a GA population may hold. Both build their tours
 # one at a time in Python, so a larger size would run for minutes before the
 # first iteration; the configs in use hold at most a few hundred.

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InstanceTooLargeError
+from .errors import DimensionMismatchError, InstanceTooLargeError, InvalidTourError
 
 Tour = tuple[int, ...]
 
@@ -134,9 +134,9 @@ def tour_length(tour: Tour, m: DistanceMatrix) -> float:
 
 
 def validate_tour(tour, n: int) -> None:
-    """Raise ValueError unless tour is a permutation of 0..n-1."""
+    """Raise InvalidTourError unless tour is a permutation of 0..n-1."""
     if len(tour) != n or sorted(tour) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {tour!r}")
+        raise InvalidTourError(f"not a permutation of 0..{n - 1}: {tour!r}")
 
 
 def canonicalize(tour: Tour) -> Tour:

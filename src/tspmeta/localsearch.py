@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from .instance import DistanceMatrix, Tour
+from .instance import DistanceMatrix, Tour, validate_tour
 
 # A move must beat the incumbent by more than this to be applied; keeps
 # float noise from causing improvement cycles.
@@ -66,7 +66,10 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     the tour.
     The deltas are reversal_deltas' sums, term for term in the same order,
     so the moves and the result are the same as scanning d.
+
+    Raises InvalidTourError unless t is a permutation of 0..m.n-1.
     """
+    validate_tour(t, m.n)
     n = m.n
     if n < 4:
         return t
@@ -125,11 +128,13 @@ def _three_opt_rebuild(seg1: list, seg2: list, case: int) -> list:
     return second + first if swapped else first + second
 
 
-def _first_improving_move(order: list, rows, n: int) -> tuple[int, int, int, int] | None:
+def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int, int] | None:
     """The first cut triple i < j < k, in lexicographic order, with a
     reconnection that beats the tour by more than IMPROVEMENT_EPS, as
     (i, j, k, case) with case the first such reconnection; None if there is
-    none."""
+    none. The pure-Python sweep, and the reference for _first_improving_block."""
+    n = m.n
+    rows = m.rows()
     for i in range(n - 2):
         a, b = order[i], order[i + 1]
         for j in range(i + 1, n - 1):
@@ -143,18 +148,137 @@ def _first_improving_move(order: list, rows, n: int) -> tuple[int, int, int, int
     return None
 
 
+# _three_opt_deltas' edges by the letter of each end, base first, then the
+# seven reconnections: a, b, c, e, f, g are tour positions i, i+1, j, j+1,
+# k and k+1 (mod n)
+_THREE_OPT_TERMS = (
+    ("ab", "ce", "fg"),
+    ("ac", "be", "fg"),
+    ("ab", "cf", "eg"),
+    ("af", "ce", "bg"),
+    ("ac", "bf", "eg"),
+    ("ae", "fb", "cg"),
+    ("ae", "fc", "bg"),
+    ("af", "eb", "cg"),
+)
+
+
+@functools.lru_cache(maxsize=8)
+def _three_opt_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gather table of _first_improving_block for n cities: (offsets, j, k).
+
+    j and k list the pairs 1 <= j < k < n in lexicographic order; the pairs
+    of cut triple row i, those with j > i, are the tail from the first pair
+    with j = i + 1. offsets[r, t, p] locates edge t of _THREE_OPT_TERMS row
+    r for pair p in a flat array holding the n x n tour-ordered matrix P,
+    then copies of P's rows i and i+1, of its column i+1 and of P[i, i+1].
+    An edge with an end at position i or i+1 is read from those copies, so
+    no offset depends on i. O(n^2) entries; cached for a few sizes."""
+    j, k = np.triu_indices(n, k=1)
+    keep = j >= 1
+    j, k = j[keep], k[keep]
+    ends = {"c": j, "e": j + 1, "f": k, "g": (k + 1) % n}
+    row_a, row_b, column_b, edge_ab = n * n, n * n + n, n * n + 2 * n, n * n + 3 * n
+    offsets = np.empty((8, 3, len(j)), dtype=np.intp)
+    for r, terms in enumerate(_THREE_OPT_TERMS):
+        for t, (x, y) in enumerate(terms):
+            if x + y == "ab":
+                offsets[r, t] = edge_ab
+            elif x == "a":
+                offsets[r, t] = row_a + ends[y]
+            elif x == "b":
+                offsets[r, t] = row_b + ends[y]
+            elif y == "b":
+                offsets[r, t] = column_b + ends[x]
+            else:
+                offsets[r, t] = ends[x] * n + ends[y]
+    table = (offsets, j, k)
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+# The block scan's first block of cut triples, and the most it grows to by
+# doubling: small, for a sweep that stops at an early triple; bounded, for
+# the scratch arrays (8 x 3 values per triple).
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 512
+
+
+def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, int, int] | None:
+    """_first_improving_move's result, from numpy blocks of cut triples.
+
+    Each block is a run of consecutive triples of one row i, in
+    lexicographic order. Its edges are gathered with _three_opt_offsets'
+    table from a copy of the matrix permuted into tour order,
+    P[r, c] = d[order[r], order[c]], followed by P's rows i and i+1, column
+    i+1 and P[i, i+1], and added up term for term as _three_opt_deltas adds
+    them, so the deltas are the same floats. Blocks double in size, up to
+    _MAX_BLOCK; the scan stops at the first block that holds an improving
+    triple."""
+    n = m.n
+    offsets, j_idx, k_idx = _three_opt_offsets(n)
+    tour = np.array(order, dtype=np.intp)
+    n2 = n * n
+    src = np.empty(n2 + 3 * n + 1)
+    tour_d = src[:n2].reshape(n, n)
+    tour_d[:] = m.d[tour[:, None], tour]
+    size = _FIRST_BLOCK
+    start = 0  # row i's first pair: the first with j = i + 1
+    for i in range(n - 2):
+        src[n2:n2 + 2 * n] = src[i * n:(i + 2) * n]  # rows i and i + 1
+        src[n2 + 2 * n:n2 + 3 * n] = tour_d[:, i + 1]
+        src[-1] = tour_d[i, i + 1]
+        lo = start
+        start += n - 2 - i
+        while lo < len(j_idx):
+            hi = lo + size
+            edges = src.take(offsets[:, :, lo:hi])
+            sums = edges[:, 0] + edges[:, 1]
+            sums += edges[:, 2]
+            deltas = sums[1:]
+            deltas -= sums[0]
+            if deltas.min() < -IMPROVEMENT_EPS:
+                improving = deltas < -IMPROVEMENT_EPS
+                t = int(improving.any(axis=0).argmax())
+                return i, int(j_idx[lo + t]), int(k_idx[lo + t]), int(improving[:, t].argmax())
+            lo = hi
+            size = min(2 * size, _MAX_BLOCK)
+    return None
+
+
+# From this many cities on, three_opt scans in numpy blocks; below it the
+# pure-Python sweep is faster, a whole sweep there costing less than a few
+# numpy blocks. 12 is the measured crossover from random start tours (from
+# 2-opt optima the blocks already win at 9), see CHANGES.md.
+BLOCK_SCAN_MIN_N = 12
+
+
 def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """First-improvement 3-opt: sweep all cut triples i < j < k in
     lexicographic order, trying the seven reconnection variants (the
     pure-reversal ones coincide with 2-opt moves); apply the first strict
     improvement and restart the sweep. Terminates at 3-opt local optimality.
+
+    From BLOCK_SCAN_MIN_N cities on, each sweep computes the deltas of runs
+    of consecutive triples at once with numpy (_first_improving_block),
+    gathered from a copy of the matrix permuted into tour order that is
+    rebuilt for each sweep, so after each applied move; the runs start
+    small, for sweeps that stop early, and grow. Below that size a sweep
+    is over before a few numpy calls would be, and it runs in pure Python
+    (_first_improving_move). Both add each delta's terms in the same order
+    and return the same first improving triple and reconnection, so the
+    moves and the result do not depend on which one ran.
+
+    Raises InvalidTourError unless t is a permutation of 0..m.n-1.
     """
+    validate_tour(t, m.n)
     n = m.n
     if n < 3:
         return t
-    rows = m.rows()
+    scan = _first_improving_move if n < BLOCK_SCAN_MIN_N else _first_improving_block
     order = list(t)
-    while (move := _first_improving_move(order, rows, n)) is not None:
+    while (move := scan(order, m)) is not None:
         i, j, k, case = move
         order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
     return tuple(order)

@@ -198,7 +198,8 @@ def velocity_update(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float
 
 def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
     if cfg.w_end is not None and cfg.max_iter > 1:
-        return cfg.w + (cfg.w_end - cfg.w) * iteration / (cfg.max_iter - 1)
+        # the interpolation can round to just below a w_end of 0
+        return max(0.0, cfg.w + (cfg.w_end - cfg.w) * iteration / (cfg.max_iter - 1))
     return cfg.w
 
 

@@ -120,6 +120,11 @@ class TestSolve:
                (solved["best_tour"], solved["best_cost"], solved["evaluations"])
 
 
+    def test_inertia_decaying_to_zero_exits_0(self, capsys):
+        assert main(["solve", "--builtin-paper", "--w-end", "0", "--iterations", "4"]) == 0
+        assert "best cost:" in capsys.readouterr().out
+
+
 class TestExact:
     def test_builtin(self, capsys):
         assert main(["exact", "--builtin-paper"]) == 0

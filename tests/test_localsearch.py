@@ -1,7 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,9 @@ from hypothesis import strategies as st
 
 import tspmeta as tm
 from tspmeta.instance import cycle_length
-from tspmeta.localsearch import (IMPROVEMENT_EPS, _three_opt_deltas, _three_opt_rebuild,
-                                  reversal_deltas, reversal_table)
+from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, _first_improving_block,
+                                  _first_improving_move, _three_opt_deltas, _three_opt_offsets,
+                                  _three_opt_rebuild, reversal_deltas, reversal_table)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -77,6 +82,16 @@ def uniform_or_grid_instance(rng, n: int, grid: bool) -> tm.Instance:
     side = rng.randint(2, 12)
     coords = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
     return tm.Instance.from_coords("grid", coords, tm.Metric.EUCLIDEAN_ROUNDED)
+
+
+def reference_three_opt(t, m):
+    """three_opt with the pure-Python sweep at every size: the moves the
+    numpy block scan must reproduce."""
+    order = list(t)
+    while (move := _first_improving_move(order, m)) is not None:
+        i, j, k, case = move
+        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+    return tuple(order)
 
 
 def best_reconnection_gain(tour, m) -> float:
@@ -251,3 +266,93 @@ class TestThreeOpt:
         inst = tm.Instance.from_coords("two", [(0, 0), (1, 0)])
         m = tm.build_distance_matrix(inst)
         assert tm.three_opt((1, 0), m) == (1, 0)
+
+    def test_local_optimality_certificate_on_the_block_scan(self):
+        # the sizes above run the pure-Python sweep; these run the numpy blocks
+        assert BLOCK_SCAN_MIN_N <= 12
+        rng = random.Random(401)
+        for case in range(30):
+            m = tm.build_distance_matrix(uniform_or_grid_instance(rng, rng.randint(12, 24),
+                                                                  grid=case % 3 == 2))
+            start = tm.random_tour(m.n, rng)
+            out = tm.three_opt(start if case % 2 else tm.two_opt(start, m), m)
+            assert best_reconnection_gain(out, m) <= IMPROVEMENT_EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 30), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_scan_makes_the_pure_python_sweeps_moves(n, grid, polished, seed):
+    # n on both sides of BLOCK_SCAN_MIN_N; the rounded grids tie often, and
+    # from 2-opt optima the first improving triple tends to lie deep
+    rng = random.Random(seed)
+    m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
+    start = tm.random_tour(n, rng)
+    order = list(tm.two_opt(start, m) if polished else start)
+    while True:
+        move = _first_improving_move(order, m)
+        assert _first_improving_block(order, m) == move
+        if move is None:
+            break
+        i, j, k, case = move
+        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+
+
+def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
+    m = tm.build_distance_matrix(berlin52)
+    rng = random.Random(53)
+    for _ in range(3):
+        start = tm.two_opt(tm.random_tour(m.n, rng), m)
+        assert tm.three_opt(start, m) == reference_three_opt(start, m)
+
+
+@given(st.integers(3, 120))
+def test_three_opt_offsets_hold_one_row_per_pair(n):
+    # O(n^2) entries per size: a table with a row per cut triple would hold
+    # C(n, 3) of them
+    offsets, j, k = _three_opt_offsets(n)
+    pairs = (n - 1) * (n - 2) // 2
+    assert offsets.shape == (8, 3, pairs) and len(j) == len(k) == pairs
+    assert list(zip(j.tolist(), k.tolist())) == list(itertools.combinations(range(1, n), 2))
+    assert 0 <= offsets.min() and offsets.max() <= n * n + 3 * n
+    assert not any(column.flags.writeable for column in (offsets, j, k))
+
+
+BAD_TOURS = {
+    "one city too many": tuple(range(52)) + (3,),
+    "one city repeated": (0,) * 52,
+    "one city too few": tuple(range(51)),
+    "ids from 1": tuple(range(1, 53)),
+}
+
+
+# two_opt with one city too many runs in a subprocess, further down
+@pytest.mark.parametrize("search, name", [
+    (search, name) for search in ("two_opt", "three_opt") for name in BAD_TOURS
+    if (search, name) != ("two_opt", "one city too many")])
+def test_rejects_a_start_tour_that_is_no_permutation(berlin52, search, name):
+    m = tm.build_distance_matrix(berlin52)
+    with pytest.raises(tm.InvalidTourError, match="not a permutation of 0..51"):
+        getattr(tm, search)(BAD_TOURS[name], m)
+
+
+def test_invalid_tour_error_is_a_toolkit_error_and_a_value_error():
+    # cli.py and tsplib.py catch ValueError from validate_tour
+    assert issubclass(tm.InvalidTourError, tm.TspmetaError)
+    assert issubclass(tm.InvalidTourError, ValueError)
+
+
+def test_two_opt_rejects_a_tour_too_long_without_hanging():
+    # unchecked, a 53-city tour makes a 53 x 53 tour-ordered matrix that the
+    # 52-city offsets misread, and the passes never end; in a subprocess a
+    # return of that hang fails here instead of stalling the suite
+    code = ("import tspmeta as tm\n"
+            "m = tm.build_distance_matrix(tm.packaged_instance('berlin52'))\n"
+            "try:\n"
+            "    tm.two_opt(tuple(range(52)) + (3,), m)\n"
+            "except tm.InvalidTourError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('two_opt accepted the tour')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr

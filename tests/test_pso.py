@@ -386,6 +386,14 @@ class TestInertiaSchedule:
         assert _inertia_now(cfg, 50) == pytest.approx(0.6)
         assert _inertia_now(cfg, 100) == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("max_iter", [4, 7, 13])
+    def test_decay_to_zero_ends_at_exactly_zero(self, max_iter):
+        # unclamped, 0.8 + (0 - 0.8) * (max_iter - 1) / (max_iter - 1) rounds
+        # to -1.1e-16 at these lengths, which stochastic_scale rejects
+        cfg = tm.SwarmConfig(w=0.8, w_end=0.0, max_iter=max_iter)
+        assert _inertia_now(cfg, max_iter - 1) == 0.0
+        assert all(_inertia_now(cfg, it) >= 0.0 for it in range(max_iter))
+
     def test_linear_decay_run_reaches_optimum(self, five_city):
         cfg = tm.SwarmConfig(w=0.9, w_end=0.2, seed=0)
         result = tm.run_pso(five_city, cfg)
