@@ -9,13 +9,14 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import MAX_POPULATION, ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
                        random_tour, run_search)
-from .localsearch import reversal_deltas, reversal_table
+from .localsearch import reversal_table
 
 
 @dataclass(frozen=True)
@@ -207,16 +208,17 @@ def sa_accept(delta: float, threshold: float) -> bool:
     return delta < threshold
 
 
-def sa_thresholds(temp: float, u: np.ndarray) -> np.ndarray:
-    """-temp * log1p(-u) for uniform draws u in [0, 1): exponential with mean
-    temp, so P(delta < threshold) = min(1, exp(-delta/temp))."""
+def sa_thresholds(temp: float | np.ndarray, u: np.ndarray) -> np.ndarray:
+    """-temp * log1p(-u) for uniform draws u in [0, 1), with one temperature
+    for all draws or one per draw: exponential with mean temp, so
+    P(delta < threshold) = min(1, exp(-delta/temp))."""
     thresholds = np.log1p(-u)
     thresholds *= -temp
     return thresholds
 
 
-# Proposals drawn per numpy call; bounds memory whatever iters_per_temp is.
-SA_BLOCK = 1 << 16
+# Proposals drawn per numpy call; bounds memory whatever the run's length.
+SA_BLOCK = 1 << 12
 
 
 def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
@@ -232,12 +234,30 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
 
     The starting tour comes from random_tour on random.Random(seed). Every
     later draw comes from a numpy Generator seeded by the next 64 bits of
-    that stream: each level draws its proposals and their sa_thresholds in
-    blocks of at most SA_BLOCK, proposal indices first, then uniforms. A
-    new best is re-scored with cycle_length, and so is the current tour at
-    the end of each level, to shed the drift of summed deltas.
+    that stream: the AUTO samples, then the run's proposals as one stream
+    of blocks (_sa_proposals) that runs across the levels. A new best is
+    re-scored with cycle_length, and so is the current tour at the end of
+    each level, to shed the drift of summed deltas.
     """
     return run_search(instance, cfg, _sa_search)
+
+
+def _sa_proposals(gen: np.random.Generator, table, temps: list, iters: int):
+    """The proposals of a run of len(temps) levels of iters each, as
+    (i, j, (j + 1) % n, threshold) tuples, drawn in blocks of
+    min(SA_BLOCK, proposals left): proposal indices into table first, then
+    as many uniforms u. Proposal p belongs to level l = p // iters, and its
+    threshold is sa_thresholds(temps[l], u), so one block can span many
+    short levels."""
+    total = len(temps) * iters
+    for done in range(0, total, SA_BLOCK):
+        end = min(done + SA_BLOCK, total)
+        k = gen.integers(len(table[0]), size=end - done)
+        first = done // iters
+        starts = [done, *range((first + 1) * iters, end, iters), end]  # level starts, then the end
+        block_temps = np.repeat(temps[first:first + len(starts) - 1], np.diff(starts))
+        thresholds = sa_thresholds(block_temps, gen.random(end - done))
+        yield zip(*(column[k].tolist() for column in table), thresholds.tolist())
 
 
 def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random.Random):
@@ -253,32 +273,34 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
         return
     gen = np.random.default_rng(rng.getrandbits(64))
     table = reversal_table(n)
-    moves = len(table[0])
     if cfg.initial_temp is not None:
         temp = cfg.initial_temp
     else:
-        k = gen.integers(moves, size=100)
-        samples = reversal_deltas(np.array(order), m.d, *(column[k] for column in table))
-        temp = statistics.pstdev(samples.tolist())
+        k = gen.integers(len(table[0]), size=100)
+        samples = []
+        for i, j, jn in zip(*(column[k].tolist() for column in table)):
+            a, b, c, e = order[i - 1], order[i], order[j], order[jn]
+            samples.append(rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e])
+        temp = statistics.pstdev(samples)
 
-    iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n
+    temps = []  # each level's temperature
     while temp > cfg.min_temp:
-        for done in range(0, iters, SA_BLOCK):
-            size = min(SA_BLOCK, iters - done)
-            k = gen.integers(moves, size=size)
-            thresholds = sa_thresholds(temp, gen.random(size)).tolist()
-            for i, j, jn, threshold in zip(*(column[k].tolist() for column in table), thresholds):
-                a, b, c, e = order[i - 1], order[i], order[j], order[jn]
-                delta = rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
-                if sa_accept(delta, threshold):
-                    order[i:j + 1] = order[i:j + 1][::-1]
-                    current += delta
-                    if current < best_cost:
-                        # re-score canonically so the recorded best is exact
-                        actual = cycle_length(order, rows)
-                        if actual < best_cost:
-                            best_tour, best_cost = tuple(order), actual
-            evaluations += size
-        current = cycle_length(order, rows)  # shed accumulated float drift
+        temps.append(temp)
         temp *= cfg.cooling
+    iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n
+    proposals = chain.from_iterable(_sa_proposals(gen, table, temps, iters))
+    for _ in temps:
+        for i, j, jn, threshold in islice(proposals, iters):
+            a, b, c, e = order[i - 1], order[i], order[j], order[jn]
+            delta = rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
+            if sa_accept(delta, threshold):
+                order[i:j + 1] = order[i:j + 1][::-1]
+                current += delta
+                if current < best_cost:
+                    # re-score canonically so the recorded best is exact
+                    actual = cycle_length(order, rows)
+                    if actual < best_cost:
+                        best_tour, best_cost = tuple(order), actual
+        evaluations += iters
+        current = cycle_length(order, rows)  # shed accumulated float drift
         yield best_tour, best_cost, evaluations

@@ -30,28 +30,20 @@ def reversal_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-def reversal_deltas(order: np.ndarray, d: np.ndarray, i_idx, j_idx, j_next) -> np.ndarray:
-    """Four-edge length change of reversing order[i..j] for each (i, j)."""
-    a = order[i_idx - 1]  # -1 wraps to the last position
-    b = order[i_idx]
-    c = order[j_idx]
-    e = order[j_next]
-    return d[a, c] + d[b, e] - d[a, b] - d[c, e]
-
-
 @functools.lru_cache(maxsize=8)
-def _tour_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _tour_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flat offsets into a row-major n x n matrix P indexed by tour position:
     of P[i-1, j], P[i, j+1] and P[i-1, i] for each of reversal_table(n)'s
     (i, j), and of P[k, k+1], the edge leaving position k, for each k; -1
-    and n wrap around. Cached like the table."""
+    and n wrap around; then a copy of the table's j. Cached like the table
+    and private to two_opt. The arrays are left writeable, since
+    ndarray.take copies a read-only index array on every call, so no caller
+    may write to them."""
     i_idx, j_idx, j_next = reversal_table(n)
     i_prev = (i_idx - 1) % n
     k = np.arange(n)
-    offsets = (i_prev * n + j_idx, i_idx * n + j_next, i_prev * n + i_idx, k * n + (k + 1) % n)
-    for column in offsets:
-        column.setflags(write=False)
-    return offsets
+    return (i_prev * n + j_idx, i_idx * n + j_next, i_prev * n + i_idx, k * n + (k + 1) % n,
+            j_idx.copy())
 
 
 def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
@@ -63,9 +55,10 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     The passes read a copy of the matrix permuted into tour order,
     tour_d[r, c] = d[order[r], order[c]], so each delta is gathered from one
     flat array; each move reverses tour_d's rows and columns i..j along with
-    the tour.
-    The deltas are reversal_deltas' sums, term for term in the same order,
-    so the moves and the result are the same as scanning d.
+    the tour. Each delta is d[a, c] + d[b, e] - d[a, b] - d[c, e] for the
+    cities a, b, c, e at positions i-1, i, j and j+1, summed in that order
+    as SA sums its proposals' deltas, so the moves and the result are the
+    same as scanning d.
 
     Raises InvalidTourError unless t is a permutation of 0..m.n-1.
     """
@@ -73,8 +66,8 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     n = m.n
     if n < 4:
         return t
-    i_idx, j_idx, _ = reversal_table(n)
-    ac, be, ab, edge = _tour_offsets(n)
+    i_idx = reversal_table(n)[0]
+    ac, be, ab, edge, j_idx = _tour_offsets(n)
 
     order = np.array(t, dtype=np.intp)
     tour_d = m.d[order[:, None], order]

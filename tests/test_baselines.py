@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import tspmeta as tm
 from conftest import random_instance
-from tspmeta.baselines import (order_crossover_rows, sa_thresholds, swap_mutation_rows,
-                               tournament_winners)
+from tspmeta.baselines import (SA_BLOCK, _sa_proposals, order_crossover_rows, sa_thresholds,
+                               swap_mutation_rows, tournament_winners)
 from tspmeta.errors import MAX_POPULATION
 from tspmeta.instance import cycle_length, cycle_lengths
+from tspmeta.localsearch import reversal_table
 
 FIVE_CITY_OPT_COST = 15.15298244508295
 
@@ -258,9 +259,11 @@ class TestSaAccept:
 
 def reference_sa(instance, cfg):
     """run_sa one proposal at a time, as (best tour, best cost, iterations,
-    history, evaluations): the same draws (per level, blocks of 2**16
-    proposal indices, then as many uniforms) from a Generator seeded the same
-    way, each index looked up in a list of reversals built by hand."""
+    history, evaluations): the same draws from a Generator seeded the same
+    way (one stream for the whole run, in blocks of up to 2**12 proposals:
+    proposal indices, then as many uniforms), each index looked up in a list
+    of reversals built by hand and each threshold sa_thresholds of the
+    block's uniforms at its own level's temperature."""
     m = tm.build_distance_matrix(instance)
     rows, n = m.rows(), instance.n
     rng = random.Random(cfg.seed)
@@ -278,26 +281,34 @@ def reference_sa(instance, cfg):
         temp = cfg.initial_temp
         if temp is None:
             temp = statistics.pstdev(delta(*pairs[k]) for k in gen.integers(len(pairs), size=100))
-        iters = cfg.iters_per_temp or n * n
+        temps = []
         while temp > cfg.min_temp:
-            left = iters
-            while left:
-                size = min(left, 2 ** 16)
-                left -= size
-                draws = gen.integers(len(pairs), size=size)
-                for k, threshold in zip(draws, sa_thresholds(temp, gen.random(size))):
-                    i, j = pairs[k]
-                    change = delta(i, j)
-                    evaluations += 1
-                    if change < threshold:
-                        order[i:j + 1] = reversed(order[i:j + 1])
-                        current += change
-                        if current < best_cost:
-                            actual = cycle_length(order, rows)
-                            if actual < best_cost:
-                                best_tour, best_cost = tuple(order), actual
-            current = cycle_length(order, rows)
+            temps.append(temp)
             temp *= cfg.cooling
+        iters = cfg.iters_per_temp or n * n
+        total = len(temps) * iters
+        proposals = []  # (i, j, threshold) for the whole run
+        for done in range(0, total, 2 ** 12):
+            size = min(total - done, 2 ** 12)
+            draws, u = gen.integers(len(pairs), size=size), gen.random(size)
+            thresholds = {}  # level -> sa_thresholds of the whole block at its temperature
+            for p, k in enumerate(draws, done):
+                level = p // iters
+                if level not in thresholds:
+                    thresholds[level] = sa_thresholds(temps[level], u)
+                proposals.append((*pairs[k], thresholds[level][p - done]))
+        for level in range(len(temps)):
+            for i, j, threshold in proposals[level * iters:(level + 1) * iters]:
+                change = delta(i, j)
+                evaluations += 1
+                if change < threshold:
+                    order[i:j + 1] = reversed(order[i:j + 1])
+                    current += change
+                    if current < best_cost:
+                        actual = cycle_length(order, rows)
+                        if actual < best_cost:
+                            best_tour, best_cost = tuple(order), actual
+            current = cycle_length(order, rows)
             history.append(best_cost)
     best_tour = tm.canonicalize(best_tour)
     return best_tour, cycle_length(best_tour, rows), len(history) - 1, tuple(history), evaluations
@@ -309,10 +320,39 @@ def sa_reference_cases():
         cfg = tm.SaConfig(initial_temp=None if seed % 2 else 0.3, cooling=0.8,
                           iters_per_temp=None if seed % 3 else 7, seed=seed)
         yield pytest.param(random_instance(random.Random(seed), n), cfg, id=f"n{n}-seed{seed}")
-    # one level of more than one block, on integer distances that tie often
+    # 18 levels of 1000 proposals: levels 4, 8, 12 and 16 straddle a block boundary
+    yield pytest.param(random_instance(random.Random(60), 12),
+                       tm.SaConfig(initial_temp=0.5, cooling=0.7, iters_per_temp=1000, seed=60),
+                       id="n12-straddling-levels")
+    # four levels, each longer than a block, on integer distances that tie often
     berlin52 = tm.packaged_instance("berlin52")
+    yield pytest.param(berlin52, tm.SaConfig(initial_temp=40.0, cooling=0.8, min_temp=19.0,
+                                             iters_per_temp=7_000, seed=3), id="berlin52-levels")
+    # one level of many blocks
     yield pytest.param(berlin52, tm.SaConfig(initial_temp=40.0, cooling=0.5, min_temp=30.0,
                                              iters_per_temp=70_000, seed=3), id="berlin52-block")
+
+
+@pytest.mark.parametrize("iters, levels", [(3, 5), (1000, 10), (1024, 8), (5000, 2), (1, 4097)])
+def test_each_proposal_gets_its_levels_threshold(iters, levels):
+    # _sa_proposals draws one stream of blocks across the levels; the blocks
+    # here hold many levels, end mid-level or on a level's end, or lie inside
+    # one level
+    table = reversal_table(9)
+    temps = [3.0 * 0.9 ** level for level in range(levels)]
+    total = iters * levels
+    got = list(itertools.chain.from_iterable(
+        _sa_proposals(np.random.default_rng(11), table, temps, iters)))
+    assert len(got) == total
+    gen = np.random.default_rng(11)
+    for done in range(0, total, SA_BLOCK):
+        size = min(SA_BLOCK, total - done)
+        k, u = gen.integers(len(table[0]), size=size), gen.random(size)
+        for p in range(done, done + size):
+            i, j, jn, threshold = got[p]
+            assert (i, j, jn) == tuple(int(column[k[p - done]]) for column in table)
+            expected = sa_thresholds(temps[p // iters], u)[p - done]
+            assert threshold.hex() == float(expected).hex()
 
 
 class TestRunSa:

@@ -16,7 +16,7 @@ import tspmeta as tm
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, _first_improving_block,
                                   _first_improving_move, _three_opt_deltas, _three_opt_offsets,
-                                  _three_opt_rebuild, reversal_deltas, reversal_table)
+                                  _three_opt_rebuild, _tour_offsets, reversal_table)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -35,6 +35,15 @@ def improving_reversal_exists(tour, m) -> bool:
             if tm.tour_length(candidate, m) < base - IMPROVEMENT_EPS:
                 return True
     return False
+
+
+def reversal_deltas(order: np.ndarray, d: np.ndarray, i_idx, j_idx, j_next) -> np.ndarray:
+    """Four-edge length change of reversing order[i..j] for each (i, j)."""
+    a = order[i_idx - 1]  # -1 wraps to the last position
+    b = order[i_idx]
+    c = order[j_idx]
+    e = order[j_next]
+    return d[a, c] + d[b, e] - d[a, b] - d[c, e]
 
 
 def reference_two_opt(t, m):
@@ -58,17 +67,18 @@ def reference_two_opt(t, m):
     return tuple(int(c) for c in order)
 
 
-def two_opt_in_time(tour, m, seconds: float = 5.0):
-    """two_opt(tour, m), or TimeoutError once it has run for `seconds`: a
-    tour-ordered matrix that falls out of step with the tour can make the
-    passes cycle forever, and this turns that into a failure."""
+def in_time(search, tour, m, seconds: float = 5.0):
+    """search(tour, m), or TimeoutError once it has run for `seconds`: a
+    tour-ordered matrix that falls out of step with the tour, or a block
+    scan whose deltas disagree with the move it applies, can make a local
+    search cycle forever, and this turns that into a failure."""
     def expire(signum, frame):
-        raise TimeoutError(f"two_opt still running after {seconds} s")
+        raise TimeoutError(f"{search.__name__} still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        return tm.two_opt(tour, m)
+        return search(tour, m)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -160,14 +170,14 @@ class TestTwoOpt:
 
 
 # no shrinking: an example is already just (n, grid, seed), and each shrink
-# step of a kernel that cycles would wait out two_opt_in_time
+# step of a kernel that cycles would wait out in_time
 @settings(max_examples=200, phases=(Phase.generate,))
 @given(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
 def test_two_opt_equals_the_reference_scan(n, grid, seed):
     rng = random.Random(seed)
     m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
     tour = tm.random_tour(n, rng)
-    assert two_opt_in_time(tour, m) == reference_two_opt(tour, m)
+    assert in_time(tm.two_opt, tour, m) == reference_two_opt(tour, m)
 
 
 def test_two_opt_equals_the_reference_scan_on_berlin52(berlin52):
@@ -175,7 +185,7 @@ def test_two_opt_equals_the_reference_scan_on_berlin52(berlin52):
     rng = random.Random(52)
     for _ in range(6):
         tour = tm.random_tour(m.n, rng)
-        assert two_opt_in_time(tour, m) == reference_two_opt(tour, m)
+        assert in_time(tm.two_opt, tour, m) == reference_two_opt(tour, m)
 
 
 @given(st.integers(2, 150))
@@ -189,6 +199,14 @@ def test_reversal_table_lists_each_proper_reversal_once(n):
     assert not any(column.flags.writeable for column in (i, j, j_next))
 
 
+@given(st.integers(4, 150))
+def test_two_opt_offsets_are_writeable_copies(n):
+    # ndarray.take copies a read-only index array on every gather
+    *offsets, j = _tour_offsets(n)
+    assert all(column.flags.writeable for column in (*offsets, j))
+    assert (j == reversal_table(n)[1]).all() and j is not reversal_table(n)[1]
+
+
 class TestThreeOpt:
     def test_five_city_reaches_optimum_from_every_start(self, five_city):
         # all 12 distinct undirected tours as starting points
@@ -197,7 +215,7 @@ class TestThreeOpt:
         starts = [(0,) + p for p in itertools.permutations(range(1, 5)) if p[0] < p[-1]]
         assert len(starts) == 12
         for start in starts:
-            out = tm.three_opt(start, m)
+            out = in_time(tm.three_opt, start, m)
             assert tm.tour_length(out, m) == pytest.approx(FIVE_CITY_OPT_COST, abs=1e-9)
 
     def test_improvement_only_and_validity(self):
@@ -206,7 +224,7 @@ class TestThreeOpt:
             inst = random_instance(rng, rng.randint(4, 12))
             m = tm.build_distance_matrix(inst)
             tour = tm.random_tour(m.n, rng)
-            out = tm.three_opt(tour, m)
+            out = in_time(tm.three_opt, tour, m)
             tm.validate_tour(out, m.n)
             assert tm.tour_length(out, m) <= tm.tour_length(tour, m) + 1e-12
 
@@ -215,7 +233,7 @@ class TestThreeOpt:
         for _ in range(15):
             inst = random_instance(rng, 8)
             m = tm.build_distance_matrix(inst)
-            out = tm.three_opt(tm.random_tour(8, rng), m)
+            out = in_time(tm.three_opt, tm.random_tour(8, rng), m)
             assert not improving_reversal_exists(out, m)
 
     def test_local_optimality_certificate(self):
@@ -225,7 +243,7 @@ class TestThreeOpt:
         for _ in range(600):
             inst = random_instance(rng, rng.randint(5, 10))
             m = tm.build_distance_matrix(inst)
-            out = tm.three_opt(tm.random_tour(m.n, rng), m)
+            out = in_time(tm.three_opt, tm.random_tour(m.n, rng), m)
             assert best_reconnection_gain(out, m) <= IMPROVEMENT_EPS
 
     def test_deterministic(self):
@@ -233,7 +251,7 @@ class TestThreeOpt:
         inst = random_instance(rng, 10)
         m = tm.build_distance_matrix(inst)
         tour = tm.random_tour(10, rng)
-        assert tm.three_opt(tour, m) == tm.three_opt(tour, m)
+        assert in_time(tm.three_opt, tour, m) == in_time(tm.three_opt, tour, m)
 
     def test_chosen_local_optimum_is_pinned(self):
         # the certificate admits any 3-opt local optimum; this pins the one the
@@ -243,7 +261,7 @@ class TestThreeOpt:
         for _ in range(100):
             n = rng.randint(5, 30)
             m = tm.build_distance_matrix(random_instance(rng, n))
-            digest.update(repr(tm.three_opt(tm.random_tour(n, rng), m)).encode())
+            digest.update(repr(in_time(tm.three_opt, tm.random_tour(n, rng), m)).encode())
         assert digest.hexdigest() == (
             "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
 
@@ -265,7 +283,7 @@ class TestThreeOpt:
     def test_tiny_instances_returned_unchanged(self):
         inst = tm.Instance.from_coords("two", [(0, 0), (1, 0)])
         m = tm.build_distance_matrix(inst)
-        assert tm.three_opt((1, 0), m) == (1, 0)
+        assert in_time(tm.three_opt, (1, 0), m) == (1, 0)
 
     def test_local_optimality_certificate_on_the_block_scan(self):
         # the sizes above run the pure-Python sweep; these run the numpy blocks
@@ -275,7 +293,7 @@ class TestThreeOpt:
             m = tm.build_distance_matrix(uniform_or_grid_instance(rng, rng.randint(12, 24),
                                                                   grid=case % 3 == 2))
             start = tm.random_tour(m.n, rng)
-            out = tm.three_opt(start if case % 2 else tm.two_opt(start, m), m)
+            out = in_time(tm.three_opt, start if case % 2 else tm.two_opt(start, m), m)
             assert best_reconnection_gain(out, m) <= IMPROVEMENT_EPS
 
 
@@ -302,7 +320,7 @@ def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
     rng = random.Random(53)
     for _ in range(3):
         start = tm.two_opt(tm.random_tour(m.n, rng), m)
-        assert tm.three_opt(start, m) == reference_three_opt(start, m)
+        assert in_time(tm.three_opt, start, m) == reference_three_opt(start, m)
 
 
 @given(st.integers(3, 120))
