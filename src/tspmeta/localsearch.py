@@ -1,11 +1,12 @@
-"""Tour improvement: 2-opt (best-improvement passes) and 3-opt
-(first-improvement with restart). Both are deterministic and never return
-a longer tour than they were given.
+"""Tour improvement: 2-opt (a neighbour-list sweep, then best-improvement
+passes) and 3-opt (first-improvement with restart). Both are deterministic
+and never return a longer tour than they were given.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 
 import numpy as np
 
@@ -14,6 +15,10 @@ from .instance import DistanceMatrix, Tour, validate_tour
 # A move must beat the incumbent by more than this to be applied; keeps
 # float noise from causing improvement cycles.
 IMPROVEMENT_EPS = 1e-10
+
+# How many nearest neighbours of each city 2-opt's sweep tries as the new
+# end of an edge (Bentley, 1992; Johnson & McGeoch, 1997).
+NEIGHBORS = 8
 
 
 @functools.lru_cache(maxsize=8)
@@ -46,7 +51,109 @@ def _tour_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
             j_idx.copy())
 
 
+def _neighbor_lists(m: DistanceMatrix) -> list[list[int]]:
+    """Each city's min(NEIGHBORS, n-1) nearest other cities, nearest first,
+    ties by city id, as plain lists. Cached on m, as m.rows() is."""
+    cached = getattr(m, "_neighbors", None)
+    if cached is None:
+        n = m.n
+        k = min(NEIGHBORS, n - 1)
+        head = np.argsort(m.d, axis=1, kind="stable")[:, :k + 1]
+        # drop each city itself, or the (k+1)-th city if so many others
+        # lie at distance 0 that the city sorts after its first k+1
+        keep = head != np.arange(n)[:, None]
+        keep[keep.all(axis=1), k] = False
+        cached = head[keep].reshape(n, k).tolist()
+        object.__setattr__(m, "_neighbors", cached)
+    return cached
+
+
+def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
+    """First-improvement 2-opt over neighbour lists, with a FIFO queue of
+    cities for don't-look bits, seeded in tour order.
+
+    For the city a at the queue's head and each of its tour neighbours b
+    (successor, then predecessor), try each c in a's neighbour list while
+    d(a, c) < d(a, b): the move that replaces edges (a, b) and (c, e), with
+    e c's neighbour on the same side, by (a, c) and (b, e). Apply the first
+    one whose delta, ((ac + be) - ab) - ce, is below -IMPROVEMENT_EPS, by
+    reversing the one of the move's two paths that does not wrap past
+    position n-1, and queue its four endpoints again."""
+    n = m.n
+    rows = m.rows()
+    near = _neighbor_lists(m)
+    tour = list(t)
+    pos = [0] * n
+    for p, c in enumerate(tour):
+        pos[c] = p
+
+    def improving_move(a: int) -> tuple[int, int, int, int] | None:
+        row_a = rows[a]
+        i = pos[a]
+        for step in (1, -1):
+            b = tour[(i + step) % n]
+            ab = row_a[b]
+            for c in near[a]:
+                ac = row_a[c]
+                if ac >= ab:
+                    break
+                e = tour[(pos[c] + step) % n]
+                # e == a: the move would add back the two edges it removes
+                if e != a and ((ac + rows[b][e]) - ab) - rows[c][e] < -IMPROVEMENT_EPS:
+                    return step, b, c, e
+        return None
+
+    queue = deque(tour)
+    queued = [True] * n
+    while queue:
+        a = queue.popleft()
+        queued[a] = False
+        move = improving_move(a)
+        if move is None:
+            continue
+        step, b, c, e = move
+        i, j = pos[a], pos[c]
+        # successor side: reverse b..c or e..a; predecessor side: a..e or c..b
+        if step == 1:
+            lo, hi = (i + 1, j) if i < j else (j + 1, i)
+        else:
+            lo, hi = (i, j - 1) if i < j else (j, i - 1)
+        tour[lo:hi + 1] = tour[hi:lo - 1 if lo else None:-1]
+        for p in range(lo, hi + 1):
+            pos[tour[p]] = p
+        for city in (a, b, c, e):
+            if not queued[city]:
+                queued[city] = True
+                queue.append(city)
+    return tour
+
+
 def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
+    """2-opt local search: a neighbour-list sweep, then the passes.
+
+    The sweep (_neighbor_sweep) makes first-improvement moves that join a
+    city to one of its NEIGHBORS nearest cities, with don't-look bits: a
+    city costs at most 2 * NEIGHBORS delta checks and a move one reversal,
+    where a pass costs an O(n^2) scan per move. The sweep can miss moves,
+    a new edge beyond the lists or a city whose bit was set when a move
+    elsewhere opened one, so the best-improvement passes (_two_opt_passes)
+    then scan every segment reversal until none improves: the result is
+    2-opt locally optimal over all moves, and from the sweep's tour the
+    passes have a few moves left where a random tour needs about n.
+
+    PSO polishes with the passes alone: its tours are already near a 2-opt
+    optimum, where the sweep saves nothing, and the sweep's moves would
+    change which optimum each polish returns, and so every PSO run.
+
+    Raises InvalidTourError unless t is a permutation of 0..m.n-1.
+    """
+    validate_tour(t, m.n)
+    if m.n < 4:
+        return t
+    return _two_opt_passes(_neighbor_sweep(t, m), m)
+
+
+def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
     """Repeat best-improvement passes over all segment reversals (i, j),
     0 <= i < j < n (full-tour reversal excluded), applying the single most
     improving move per pass, until 2-opt locally optimal. Move deltas use
@@ -60,9 +167,8 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     as SA sums its proposals' deltas, so the moves and the result are the
     same as scanning d.
 
-    Raises InvalidTourError unless t is a permutation of 0..m.n-1.
+    t must be a permutation of 0..m.n-1; two_opt checks it.
     """
-    validate_tour(t, m.n)
     n = m.n
     if n < 4:
         return t

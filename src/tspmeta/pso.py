@@ -37,7 +37,7 @@ from operator import ne
 
 from .errors import MAX_POPULATION, ConfigError, DimensionMismatchError, check_types
 from .instance import DistanceMatrix, Instance, RunResult, Tour, cycle_length, random_tour, run_search
-from .localsearch import three_opt, two_opt
+from .localsearch import _two_opt_passes, three_opt
 
 SwapSequence = tuple[tuple[int, int], ...]
 
@@ -204,7 +204,7 @@ def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
 
 
 # the local search each gbest-scoped mode polishes a step's lead with
-_LEAD_POLISH = {LocalSearch.TWO_OPT_GBEST: two_opt, LocalSearch.THREE_OPT_GBEST: three_opt}
+_LEAD_POLISH = {LocalSearch.TWO_OPT_GBEST: _two_opt_passes, LocalSearch.THREE_OPT_GBEST: three_opt}
 
 
 def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
@@ -237,7 +237,7 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
     for p in state.particles:
         velocity, position = _move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
         if cfg.local_search is LocalSearch.TWO_OPT_ALL:
-            position = two_opt(position, m)
+            position = _two_opt_passes(position, m)
         costs.append(cycle_length(position, rows))
         particles.append(visit(p, position, velocity, costs[-1]))
     evaluations = state.evaluations + len(particles)

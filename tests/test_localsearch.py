@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import tspmeta as tm
 from tspmeta.instance import cycle_length
-from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, _first_improving_block,
-                                  _first_improving_move, _three_opt_deltas, _three_opt_offsets,
-                                  _three_opt_rebuild, _tour_offsets, reversal_table)
+from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, NEIGHBORS,
+                                  _first_improving_block, _first_improving_move,
+                                  _neighbor_lists, _neighbor_sweep, _three_opt_deltas,
+                                  _three_opt_offsets, _three_opt_rebuild, _tour_offsets,
+                                  _two_opt_passes, reversal_table)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -47,7 +49,7 @@ def reversal_deltas(order: np.ndarray, d: np.ndarray, i_idx, j_idx, j_next) -> n
 
 
 def reference_two_opt(t, m):
-    """The scan two_opt must reproduce bit for bit: each pass takes
+    """The scan two_opt's passes must reproduce bit for bit: each pass takes
     reversal_deltas straight from d over the whole reversal table and
     applies the argmin move, the lexicographically first on ties."""
     n = m.n
@@ -69,9 +71,10 @@ def reference_two_opt(t, m):
 
 def in_time(search, tour, m, seconds: float = 5.0):
     """search(tour, m), or TimeoutError once it has run for `seconds`: a
-    tour-ordered matrix that falls out of step with the tour, or a block
-    scan whose deltas disagree with the move it applies, can make a local
-    search cycle forever, and this turns that into a failure."""
+    tour-ordered matrix or a position index that falls out of step with the
+    tour, or a block scan whose deltas disagree with the move it applies,
+    can make a local search cycle forever, and this turns that into a
+    failure."""
     def expire(signum, frame):
         raise TimeoutError(f"{search.__name__} still running after {seconds} s")
 
@@ -124,19 +127,19 @@ class TestTwoOpt:
         m = tm.build_distance_matrix(unit_square)
         crossing = (0, 2, 1, 3)
         assert tm.tour_length(crossing, m) == pytest.approx(4.828427124746190, abs=1e-9)
-        fixed = tm.two_opt(crossing, m)
+        fixed = in_time(tm.two_opt, crossing, m)
         assert tm.tour_length(fixed, m) == pytest.approx(4.0, abs=1e-12)
         assert tm.canonicalize(fixed) == (0, 1, 2, 3)
 
     def test_optimal_tour_is_fixed_point(self, five_city):
         m = tm.build_distance_matrix(five_city)
-        out = tm.two_opt((0, 1, 2, 3, 4), m)
+        out = in_time(tm.two_opt, (0, 1, 2, 3, 4), m)
         assert tm.canonicalize(out) == (0, 1, 2, 3, 4)
 
     def test_three_cities_unchanged(self):
         inst = tm.Instance.from_coords("tri", [(0, 0), (5, 0), (0, 5)])
         m = tm.build_distance_matrix(inst)
-        assert tm.two_opt((2, 0, 1), m) == (2, 0, 1)
+        assert in_time(tm.two_opt, (2, 0, 1), m) == (2, 0, 1)
 
     def test_local_optimality_certificate(self):
         rng = random.Random(100)
@@ -144,7 +147,7 @@ class TestTwoOpt:
             inst = random_instance(rng, rng.randint(4, 20))
             m = tm.build_distance_matrix(inst)
             tour = tm.random_tour(m.n, rng)
-            out = tm.two_opt(tour, m)
+            out = in_time(tm.two_opt, tour, m)
             tm.validate_tour(out, m.n)
             assert tm.tour_length(out, m) <= tm.tour_length(tour, m) + 1e-12
             assert not improving_reversal_exists(out, m)
@@ -154,19 +157,39 @@ class TestTwoOpt:
         inst = random_instance(rng, 15)
         m = tm.build_distance_matrix(inst)
         tour = tm.random_tour(15, rng)
-        assert tm.two_opt(tour, m) == tm.two_opt(tour, m)
+        assert in_time(tm.two_opt, tour, m) == in_time(tm.two_opt, tour, m)
 
     def test_chosen_local_optimum_is_pinned(self):
         # the certificate admits any 2-opt local optimum; this pins the one the
-        # best-improvement passes and their tie rule lead to
+        # best-improvement passes and their tie rule lead to (PSO's polish)
         rng = random.Random(2025)
         digest = hashlib.sha256()
         for _ in range(100):
             n = rng.randint(4, 30)
             m = tm.build_distance_matrix(random_instance(rng, n))
-            digest.update(repr(tm.two_opt(tm.random_tour(n, rng), m)).encode())
+            digest.update(repr(_two_opt_passes(tm.random_tour(n, rng), m)).encode())
         assert digest.hexdigest() == (
             "70dcedfa5709668306f79213ea5120d4e5de07e6c38f9dab626290b3aa4005e8")
+
+    def test_sweep_then_passes_local_optimum_is_pinned(self):
+        # the same starts as above; the neighbour-list sweep's moves come first
+        rng = random.Random(2025)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            n = rng.randint(4, 30)
+            m = tm.build_distance_matrix(random_instance(rng, n))
+            digest.update(repr(in_time(tm.two_opt, tm.random_tour(n, rng), m)).encode())
+        assert digest.hexdigest() == (
+            "3ce12a96489280b80312ce20c9c3f28e8eedfccd74e65844d0d61329c224e6bb")
+
+    def test_from_a_random_tour_at_n_1000_in_time(self):
+        # the passes alone take seconds at this size: one O(n^2) scan per move
+        rng = random.Random(1000)
+        m = tm.build_distance_matrix(random_instance(rng, 1000))
+        tour = tm.random_tour(1000, rng)
+        out = in_time(tm.two_opt, tour, m)
+        tm.validate_tour(out, 1000)
+        assert tm.tour_length(out, m) < tm.tour_length(tour, m)
 
 
 # no shrinking: an example is already just (n, grid, seed), and each shrink
@@ -177,7 +200,7 @@ def test_two_opt_equals_the_reference_scan(n, grid, seed):
     rng = random.Random(seed)
     m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
     tour = tm.random_tour(n, rng)
-    assert in_time(tm.two_opt, tour, m) == reference_two_opt(tour, m)
+    assert in_time(_two_opt_passes, tour, m) == reference_two_opt(tour, m)
 
 
 def test_two_opt_equals_the_reference_scan_on_berlin52(berlin52):
@@ -185,7 +208,34 @@ def test_two_opt_equals_the_reference_scan_on_berlin52(berlin52):
     rng = random.Random(52)
     for _ in range(6):
         tour = tm.random_tour(m.n, rng)
-        assert in_time(tm.two_opt, tour, m) == reference_two_opt(tour, m)
+        assert in_time(_two_opt_passes, tour, m) == reference_two_opt(tour, m)
+
+
+# grids put many cities at tied distances, and duplicates at distance 0
+@settings(max_examples=200, phases=(Phase.generate,))
+@given(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
+def test_two_opt_returns_a_shorter_or_equal_two_opt_optimum(n, grid, seed):
+    rng = random.Random(seed)
+    m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
+    tour = tm.random_tour(n, rng)
+    swept = in_time(_neighbor_sweep, tour, m)
+    tm.validate_tour(swept, n)
+    assert tm.tour_length(swept, m) <= tm.tour_length(tour, m)
+    out = in_time(tm.two_opt, tour, m)
+    tm.validate_tour(out, n)
+    assert tm.tour_length(out, m) <= tm.tour_length(swept, m)
+    assert not improving_reversal_exists(out, m)
+
+
+@given(st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_neighbor_lists_are_the_nearest_cities_ties_by_id(n, grid, seed):
+    m = tm.build_distance_matrix(uniform_or_grid_instance(random.Random(seed), n, grid))
+    rows = m.rows()
+    k = min(NEIGHBORS, n - 1)
+    expected = [sorted((c for c in range(n) if c != r), key=lambda c: (rows[r][c], c))[:k]
+                for r in range(n)]
+    assert _neighbor_lists(m) == expected
+    assert _neighbor_lists(m) is _neighbor_lists(m)
 
 
 @given(st.integers(2, 150))
