@@ -38,7 +38,6 @@ from .instance import (
     brute_force_optimal,
     build_distance_matrix,
     canonicalize,
-    nearest_neighbor_tour,
     random_tour,
     tour_length,
     validate_tour,
@@ -68,7 +67,6 @@ from .tsplib import (
     parse_tour_file,
     parse_tsplib,
     write_coords_csv,
-    write_five_city_csv,
     write_tsplib,
 )
 

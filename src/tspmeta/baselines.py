@@ -250,13 +250,11 @@ def _sa_proposals(gen: np.random.Generator, table, temps: list, iters: int):
     threshold is sa_thresholds(temps[l], u), so one block can span many
     short levels."""
     total = len(temps) * iters
+    temps = np.array(temps)
     for done in range(0, total, SA_BLOCK):
         end = min(done + SA_BLOCK, total)
         k = gen.integers(len(table[0]), size=end - done)
-        first = done // iters
-        starts = [done, *range((first + 1) * iters, end, iters), end]  # level starts, then the end
-        block_temps = np.repeat(temps[first:first + len(starts) - 1], np.diff(starts))
-        thresholds = sa_thresholds(block_temps, gen.random(end - done))
+        thresholds = sa_thresholds(temps[np.arange(done, end) // iters], gen.random(end - done))
         yield zip(*(column[k].tolist() for column in table), thresholds.tolist())
 
 

@@ -9,7 +9,6 @@ summary), both byte-stable apart from wall-time fields.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import statistics
@@ -27,7 +26,6 @@ from .pso import SwarmConfig, run as run_pso
 from .tsplib import five_city_instance, load_instance_file
 
 BUILTIN_INSTANCE_MARKER = "builtin-paper"
-THREADS_ENV_VAR = "TSPMETA_BENCH_THREADS"
 
 
 class Solver(NamedTuple):
@@ -201,20 +199,13 @@ def record_fields(record: TrialRecord) -> dict:
     return doc
 
 
-def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[TrialRecord]:
+def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
     """Run every trial and return records sorted by (algorithm, run_index).
 
-    threads defaults to the TSPMETA_BENCH_THREADS environment variable
-    (sequential when unset), and the pool never exceeds the number of jobs
-    or of CPUs. Trials are seed-isolated, so the worker count never changes
-    the records.
+    The pool never exceeds the number of jobs or of CPUs. Trials are
+    seed-isolated, so the worker count never changes the records.
     """
     instance = resolve_instance(spec.instance_source)
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR) or "1"
-        with contextlib.suppress(json.JSONDecodeError):
-            raw = json.loads(raw)  # read like a spec value: "2" is 2, "2.5" and "abc" fail
-        threads = _check_type(THREADS_ENV_VAR, raw, int)
     if threads < 1:
         raise ConfigError(f"the worker count must be >= 1, got {threads}")
     jobs = [(entry, spec.base_seed + i, i)

@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("spec", help="experiment spec file (JSON)")
     p_bench.add_argument("--out-csv", default=None, help="write trial records as CSV")
     p_bench.add_argument("--out-json", default=None, help="write records + summary as JSON")
-    p_bench.add_argument("--threads", type=int, default=None,
-                         help=f"worker processes (default: ${bench_mod.THREADS_ENV_VAR} or 1)")
+    p_bench.add_argument("--threads", type=int, default=1,
+                         help="worker processes (default: 1)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_convert = sub.add_parser("convert", help="convert an instance between CSV and TSPLIB")
@@ -215,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TspmetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TspmetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort internal failure path

@@ -199,24 +199,6 @@ def brute_force_optimal(instance: Instance) -> tuple[Tour, float]:
     return best_order, cycle_length(best_order, rows)
 
 
-def nearest_neighbor_tour(instance: Instance, start: int = 0) -> Tour:
-    """Greedy tour from `start`; distance ties break to the smaller city id."""
-    n = instance.n
-    if not 0 <= start < n:
-        raise ValueError(f"start city {start} out of range for n={n}")
-    rows = build_distance_matrix(instance).rows()
-    unvisited = set(range(n))
-    unvisited.discard(start)
-    tour = [start]
-    current = start
-    while unvisited:
-        nxt = min(unvisited, key=lambda c: (rows[current][c], c))
-        tour.append(nxt)
-        unvisited.discard(nxt)
-        current = nxt
-    return tuple(tour)
-
-
 def random_tour(n: int, rng: random.Random) -> Tour:
     """Uniform random permutation drawn from the given stream."""
     if n < 1:

@@ -56,14 +56,9 @@ def _neighbor_lists(m: DistanceMatrix) -> list[list[int]]:
     ties by city id, as plain lists. Cached on m, as m.rows() is."""
     cached = getattr(m, "_neighbors", None)
     if cached is None:
-        n = m.n
-        k = min(NEIGHBORS, n - 1)
-        head = np.argsort(m.d, axis=1, kind="stable")[:, :k + 1]
-        # drop each city itself, or the (k+1)-th city if so many others
-        # lie at distance 0 that the city sorts after its first k+1
-        keep = head != np.arange(n)[:, None]
-        keep[keep.all(axis=1), k] = False
-        cached = head[keep].reshape(n, k).tolist()
+        d = m.d.copy()
+        np.fill_diagonal(d, np.inf)  # each city sorts after every other
+        cached = np.argsort(d, axis=1, kind="stable")[:, :min(NEIGHBORS, m.n - 1)].tolist()
         object.__setattr__(m, "_neighbors", cached)
     return cached
 

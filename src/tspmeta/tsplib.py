@@ -188,11 +188,6 @@ def write_tsplib(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_five_city_csv() -> str:
-    """The built-in five-city demo instance as CSV, byte-stable."""
-    return write_coords_csv(five_city_instance())
-
-
 def five_city_instance() -> Instance:
     """The built-in five-city demo instance (exact Euclidean metric)."""
     return Instance.from_coords(FIVE_CITY_NAME, list(FIVE_CITY_COORDS), Metric.EUCLIDEAN_EXACT)

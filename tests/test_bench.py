@@ -120,22 +120,10 @@ class TestRunExperiment:
         assert pool_sizes == expected
         assert [r.run_index for r in records] == list(range(runs))
 
-    @pytest.mark.parametrize("raw", ["abc", "2.5", "true", "[2]", "0"])
-    def test_bad_threads_env_var(self, monkeypatch, raw):
-        monkeypatch.setenv(bench.THREADS_ENV_VAR, raw)
-        with pytest.raises(tm.ConfigError, match="TSPMETA_BENCH_THREADS|worker count"):
-            tm.run_experiment(small_pso_spec(runs=1))
-
     @pytest.mark.parametrize("threads", [0, -5])
     def test_worker_count_below_one(self, threads):
         with pytest.raises(tm.ConfigError, match="worker count"):
             tm.run_experiment(small_pso_spec(runs=1), threads=threads)
-
-    def test_threads_env_var_read_as_integer(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(bench.THREADS_ENV_VAR, " 2 ")
-        assert len(tm.run_experiment(small_pso_spec(runs=3))) == 3
-        assert pool_sizes == [2]
 
     def test_pool_oserror_falls_back_to_sequential(self, monkeypatch):
         def no_pool(max_workers):

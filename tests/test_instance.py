@@ -189,24 +189,6 @@ class TestBruteForceOptimal:
             assert opt <= tm.tour_length(tm.random_tour(7, rng), m) + 1e-12
 
 
-class TestNearestNeighbor:
-    def test_five_city_trace(self, five_city):
-        # from city 4 both 2 and 3 sit at sqrt(10); the tie goes to the smaller id
-        assert tm.nearest_neighbor_tour(five_city, 0) == (0, 4, 2, 3, 1)
-
-    def test_single_city(self):
-        inst = tm.Instance.from_coords("one", [(0, 0)])
-        assert tm.nearest_neighbor_tour(inst, 0) == (0,)
-
-    def test_two_cities(self):
-        inst = tm.Instance.from_coords("two", [(0, 0), (1, 1)])
-        assert tm.nearest_neighbor_tour(inst, 1) == (1, 0)
-
-    def test_bad_start(self, five_city):
-        with pytest.raises(ValueError):
-            tm.nearest_neighbor_tour(five_city, 5)
-
-
 class TestRandomTour:
     def test_single(self):
         assert tm.random_tour(1, random.Random(0)) == (0,)

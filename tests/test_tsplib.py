@@ -139,14 +139,15 @@ class TestDistanceOverflow:
 
 class TestWriters:
     def test_five_city_csv_round_trip(self, five_city):
-        text = tm.write_five_city_csv()
+        text = tm.write_coords_csv(tm.five_city_instance())
         parsed, _ = tm.parse_coords_csv(text)
         assert parsed.n == 5
         for a, b in zip(parsed.cities, five_city.cities):
             assert (a.x, a.y) == (b.x, b.y)
 
     def test_five_city_csv_byte_stable(self):
-        assert tm.write_five_city_csv() == tm.write_five_city_csv()
+        first = tm.write_coords_csv(tm.five_city_instance())
+        assert tm.write_coords_csv(tm.five_city_instance()) == first
 
     def test_tsplib_round_trip(self):
         inst = tm.Instance.from_coords(
