@@ -8,6 +8,7 @@ canonical forms (see canonicalize).
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -134,8 +135,14 @@ def tour_length(tour: Tour, m: DistanceMatrix) -> float:
 
 
 def validate_tour(tour, n: int) -> None:
-    """Raise InvalidTourError unless tour is a permutation of 0..n-1."""
-    if len(tour) != n or sorted(tour) != list(range(n)):
+    """Raise InvalidTourError unless tour is a permutation of 0..n-1 whose
+    entries are integers: a float city such as 1.0 is rejected, although it
+    sorts and compares equal to 1."""
+    try:
+        cities = sorted(map(operator.index, tour))
+    except TypeError:
+        cities = None  # an entry that is no integer
+    if len(tour) != n or cities != list(range(n)):
         raise InvalidTourError(f"not a permutation of 0..{n - 1}: {tour!r}")
 
 

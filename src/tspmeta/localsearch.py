@@ -1,6 +1,7 @@
 """Tour improvement: 2-opt (a neighbour-list sweep, then best-improvement
-passes) and 3-opt (first-improvement with restart). Both are deterministic
-and never return a longer tour than they were given.
+passes) and 3-opt (the 2-opt sweep, then an Or-opt neighbour-list sweep,
+then first-improvement scans over all cut triples with restart). Both are
+deterministic and never return a longer tour than they were given.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .instance import DistanceMatrix, Tour, validate_tour
 # float noise from causing improvement cycles.
 IMPROVEMENT_EPS = 1e-10
 
-# How many nearest neighbours of each city 2-opt's sweep tries as the new
-# end of an edge (Bentley, 1992; Johnson & McGeoch, 1997).
+# How many nearest neighbours of each city the 2-opt and Or-opt sweeps try
+# as the new end of an edge (Bentley, 1992; Johnson & McGeoch, 1997).
 NEIGHBORS = 8
 
 
@@ -123,6 +124,92 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     return tour
 
 
+def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
+    """First-improvement Or-opt (Or, 1976) over neighbour lists, with a FIFO
+    queue of cities for don't-look bits, seeded in tour order. A move takes a
+    segment of one to three cities out of the tour and puts it back, either
+    way round, between two other adjacent cities: the 3-opt moves that
+    exchange two segments, one of them short.
+
+    For the city a at the queue's head, each segment that starts at a and
+    runs one to three cities in either tour direction, to z, between its
+    outer neighbours p and q, frees g = (pa + zq) - pq when cut out. For
+    each end x of the segment, y the other, try each c in x's neighbour
+    list while d(x, c) < g, and each tour neighbour e of c, neither in the
+    segment: the move that puts the segment between c and e, x next to c.
+    Apply the first one whose delta, ((xc + ye) - ce) - g, is below
+    -IMPROVEMENT_EPS, by rotating the segment past the path between it and
+    its new place, on the one of the two sides that does not wrap past
+    position n-1, and queue the move's six endpoints again."""
+    n = m.n
+    rows = m.rows()
+    near = _neighbor_lists(m)
+    tour = list(t)
+    pos = [0] * n
+    for p, c in enumerate(tour):
+        pos[c] = p
+    # (direction, length) of each segment from a; at least three cities stay
+    # outside it, so that it has a place other than back between p and q
+    shapes = [(step, length) for length in (1, 2, 3) if length <= n - 3
+              for step in ((1,) if length == 1 else (1, -1))]
+
+    def improving_move(a: int) -> tuple[list[int], int, int, int, int, int, int] | None:
+        i = pos[a]
+        for step, length in shapes:
+            segment = [tour[(i + k * step) % n] for k in range(length)]
+            z = segment[-1]
+            p, q = tour[(i - step) % n], tour[(i + length * step) % n]
+            gain = (rows[p][a] + rows[z][q]) - rows[p][q]
+            for x, y in ((a, z),) if length == 1 else ((a, z), (z, a)):
+                row_x, row_y = rows[x], rows[y]
+                for c in near[x]:
+                    xc = row_x[c]
+                    if xc >= gain:
+                        break
+                    if c in segment:
+                        continue
+                    k, row_c = pos[c], rows[c]
+                    for e in (tour[(k + 1) % n], tour[k - 1]):
+                        delta = ((xc + row_y[e]) - row_c[e]) - gain
+                        if delta < -IMPROVEMENT_EPS and e not in segment:
+                            return segment, p, q, x, y, c, e
+        return None
+
+    queue = deque(tour)
+    queued = [True] * n
+    while queue:
+        a = queue.popleft()
+        queued[a] = False
+        move = improving_move(a)
+        if move is None:
+            continue
+        segment, p, q, x, y, c, e = move
+        lo, hi = min(pos[s] for s in segment), max(pos[s] for s in segment)
+        if hi - lo >= len(segment):  # the segment wraps: turn the list half round
+            tour[:] = tour[n // 2:] + tour[:n // 2]
+            for k, city in enumerate(tour):
+                pos[city] = k
+            lo, hi = min(pos[s] for s in segment), max(pos[s] for s in segment)
+        # u before v in the list: the segment goes between them, x next to c
+        u, v = (c, e) if tour[(pos[c] + 1) % n] == e else (e, c)
+        moved = tour[lo:hi + 1]
+        if moved[0] != (x if u == c else y):
+            moved.reverse()
+        if pos[u] > hi:  # segment, path to u -> path to u, segment
+            hi = pos[u]
+            tour[lo:hi + 1] = tour[lo + len(moved):hi + 1] + moved
+        else:  # path from v, segment -> segment, path from v
+            lo = pos[v]
+            tour[lo:hi + 1] = moved + tour[lo:hi + 1 - len(moved)]
+        for k in range(lo, hi + 1):
+            pos[tour[k]] = k
+        for city in (p, q, segment[0], segment[-1], c, e):
+            if not queued[city]:
+                queued[city] = True
+                queue.append(city)
+    return tour
+
+
 def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """2-opt local search: a neighbour-list sweep, then the passes.
 
@@ -140,11 +227,12 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     optimum, where the sweep saves nothing, and the sweep's moves would
     change which optimum each polish returns, and so every PSO run.
 
-    Raises InvalidTourError unless t is a permutation of 0..m.n-1.
+    Raises InvalidTourError unless t is a permutation of 0..m.n-1. Returns
+    plain ints, whatever integer type t holds.
     """
     validate_tour(t, m.n)
     if m.n < 4:
-        return t
+        return tuple(int(c) for c in t)
     return _two_opt_passes(_neighbor_sweep(t, m), m)
 
 
@@ -226,7 +314,7 @@ def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int
     """The first cut triple i < j < k, in lexicographic order, with a
     reconnection that beats the tour by more than IMPROVEMENT_EPS, as
     (i, j, k, case) with case the first such reconnection; None if there is
-    none. The pure-Python sweep, and the reference for _first_improving_block."""
+    none. The pure-Python scan, and the reference for _first_improving_block."""
     n = m.n
     rows = m.rows()
     for i in range(n - 2):
@@ -293,7 +381,7 @@ def _three_opt_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # The block scan's first block of cut triples, and the most it grows to by
-# doubling: small, for a sweep that stops at an early triple; bounded, for
+# doubling: small, for a scan that stops at an early triple; bounded, for
 # the scratch arrays (8 x 3 values per triple).
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 512
@@ -341,36 +429,61 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
     return None
 
 
-# From this many cities on, three_opt scans in numpy blocks; below it the
-# pure-Python sweep is faster, a whole sweep there costing less than a few
-# numpy blocks. 12 is the measured crossover from random start tours (from
-# 2-opt optima the blocks already win at 9), see CHANGES.md.
+# From this many cities on, three_opt sweeps neighbour lists first and its
+# scans run in numpy blocks; below it the pure-Python scan is faster, a
+# whole scan there costing less than a few numpy blocks. 12 is the measured crossover from
+# random start tours (from 2-opt optima the blocks already win at 9), see
+# CHANGES.md.
 BLOCK_SCAN_MIN_N = 12
 
 
 def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
-    """First-improvement 3-opt: sweep all cut triples i < j < k in
+    """3-opt local search: the 2-opt sweep, then the Or-opt sweep, then the
+    certifying scans.
+
+    From BLOCK_SCAN_MIN_N cities on, the 2-opt neighbour-list sweep
+    (_neighbor_sweep) and then the Or-opt one (_or_opt_sweep) make most of
+    the moves, each for a few delta checks per city, where a scan costs up
+    to O(n^3) per move. Every move they make is a 3-opt move. They can miss
+    moves, so the first-improvement scans (_three_opt_scans) then try all
+    cut triples until none improves: the result is 3-opt locally optimal
+    over all cut triples and reconnections. Below BLOCK_SCAN_MIN_N the
+    pure-Python scans run alone: a whole scan there costs less than a few
+    numpy calls, and results at those sizes stay the scans' own.
+
+    PSO polishes with the scans alone, as it does with 2-opt's passes: the
+    sweeps' moves would change which optimum each polish returns, and so
+    every PSO run.
+
+    Raises InvalidTourError unless t is a permutation of 0..m.n-1. Returns
+    plain ints, whatever integer type t holds.
+    """
+    validate_tour(t, m.n)
+    tour = [int(c) for c in t]
+    if m.n >= BLOCK_SCAN_MIN_N:
+        tour = _or_opt_sweep(_neighbor_sweep(tour, m), m)
+    return _three_opt_scans(tour, m)
+
+
+def _three_opt_scans(t: Tour, m: DistanceMatrix) -> Tour:
+    """First-improvement 3-opt: scan all cut triples i < j < k in
     lexicographic order, trying the seven reconnection variants (the
     pure-reversal ones coincide with 2-opt moves); apply the first strict
-    improvement and restart the sweep. Terminates at 3-opt local optimality.
+    improvement and restart the scan. Terminates at 3-opt local optimality.
 
-    From BLOCK_SCAN_MIN_N cities on, each sweep computes the deltas of runs
+    From BLOCK_SCAN_MIN_N cities on, each scan computes the deltas of runs
     of consecutive triples at once with numpy (_first_improving_block),
     gathered from a copy of the matrix permuted into tour order that is
-    rebuilt for each sweep, so after each applied move; the runs start
-    small, for sweeps that stop early, and grow. Below that size a sweep
-    is over before a few numpy calls would be, and it runs in pure Python
+    rebuilt for each scan, so after each applied move; the runs start
+    small, for scans that stop early, and grow. Below that size a scan is
+    over before a few numpy calls would be, and it runs in pure Python
     (_first_improving_move). Both add each delta's terms in the same order
     and return the same first improving triple and reconnection, so the
     moves and the result do not depend on which one ran.
 
-    Raises InvalidTourError unless t is a permutation of 0..m.n-1.
+    t must be a permutation of 0..m.n-1; three_opt checks it.
     """
-    validate_tour(t, m.n)
-    n = m.n
-    if n < 3:
-        return t
-    scan = _first_improving_move if n < BLOCK_SCAN_MIN_N else _first_improving_block
+    scan = _first_improving_move if m.n < BLOCK_SCAN_MIN_N else _first_improving_block
     order = list(t)
     while (move := scan(order, m)) is not None:
         i, j, k, case = move

@@ -37,7 +37,7 @@ from operator import ne
 
 from .errors import MAX_POPULATION, ConfigError, DimensionMismatchError, check_types
 from .instance import DistanceMatrix, Instance, RunResult, Tour, cycle_length, random_tour, run_search
-from .localsearch import _two_opt_passes, three_opt
+from .localsearch import _three_opt_scans, _two_opt_passes
 
 SwapSequence = tuple[tuple[int, int], ...]
 
@@ -204,7 +204,8 @@ def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
 
 
 # the local search each gbest-scoped mode polishes a step's lead with
-_LEAD_POLISH = {LocalSearch.TWO_OPT_GBEST: _two_opt_passes, LocalSearch.THREE_OPT_GBEST: three_opt}
+_LEAD_POLISH = {LocalSearch.TWO_OPT_GBEST: _two_opt_passes,
+                LocalSearch.THREE_OPT_GBEST: _three_opt_scans}
 
 
 def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,

@@ -16,9 +16,10 @@ import tspmeta as tm
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, NEIGHBORS,
                                   _first_improving_block, _first_improving_move,
-                                  _neighbor_lists, _neighbor_sweep, _three_opt_deltas,
-                                  _three_opt_offsets, _three_opt_rebuild, _tour_offsets,
-                                  _two_opt_passes, reversal_table)
+                                  _neighbor_lists, _neighbor_sweep, _or_opt_sweep,
+                                  _three_opt_deltas, _three_opt_offsets, _three_opt_rebuild,
+                                  _three_opt_scans, _tour_offsets, _two_opt_passes,
+                                  reversal_table)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -98,8 +99,8 @@ def uniform_or_grid_instance(rng, n: int, grid: bool) -> tm.Instance:
 
 
 def reference_three_opt(t, m):
-    """three_opt with the pure-Python sweep at every size: the moves the
-    numpy block scan must reproduce."""
+    """three_opt's scans in pure Python at every size: the moves the numpy
+    block scan must reproduce."""
     order = list(t)
     while (move := _first_improving_move(order, m)) is not None:
         i, j, k, case = move
@@ -305,7 +306,19 @@ class TestThreeOpt:
 
     def test_chosen_local_optimum_is_pinned(self):
         # the certificate admits any 3-opt local optimum; this pins the one the
-        # sweep order and first-improving reconnection lead to
+        # scan order and first-improving reconnection lead to (PSO's polish)
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            n = rng.randint(5, 30)
+            m = tm.build_distance_matrix(random_instance(rng, n))
+            digest.update(repr(in_time(_three_opt_scans, tm.random_tour(n, rng), m)).encode())
+        assert digest.hexdigest() == (
+            "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
+
+    def test_sweep_then_scans_local_optimum_is_pinned(self):
+        # the same starts as above; from BLOCK_SCAN_MIN_N cities on, the 2-opt
+        # and Or-opt sweeps' moves come first
         rng = random.Random(2024)
         digest = hashlib.sha256()
         for _ in range(100):
@@ -313,7 +326,7 @@ class TestThreeOpt:
             m = tm.build_distance_matrix(random_instance(rng, n))
             digest.update(repr(in_time(tm.three_opt, tm.random_tour(n, rng), m)).encode())
         assert digest.hexdigest() == (
-            "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
+            "73e5c546df4842aa26c4395d86fdc2a93aa787ef2438dc7def0ac9d5ccb3efb0")
 
     def test_each_case_delta_matches_its_rebuilt_tour(self):
         rng = random.Random(2027)
@@ -370,7 +383,43 @@ def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
     rng = random.Random(53)
     for _ in range(3):
         start = tm.two_opt(tm.random_tour(m.n, rng), m)
-        assert in_time(tm.three_opt, start, m) == reference_three_opt(start, m)
+        assert in_time(_three_opt_scans, start, m) == reference_three_opt(start, m)
+
+
+# no shrinking, as for 2-opt above; n on both sides of BLOCK_SCAN_MIN_N
+@settings(max_examples=100, deadline=None, phases=(Phase.generate,))
+@given(st.integers(3, 16), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_three_opt_returns_a_shorter_or_equal_three_opt_optimum(n, grid, polished, seed):
+    rng = random.Random(seed)
+    m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
+    start = tm.random_tour(n, rng)
+    if polished:
+        start = tm.two_opt(start, m)
+    out = in_time(tm.three_opt, start, m)
+    tm.validate_tour(out, n)
+    assert tm.tour_length(out, m) <= tm.tour_length(start, m)
+    assert best_reconnection_gain(out, m) <= IMPROVEMENT_EPS
+
+
+@settings(max_examples=200, phases=(Phase.generate,))
+@given(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
+def test_or_opt_sweep_returns_a_shorter_or_equal_permutation(n, grid, seed):
+    rng = random.Random(seed)
+    m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
+    tour = tm.random_tour(n, rng)
+    out = in_time(_or_opt_sweep, tour, m)
+    tm.validate_tour(out, n)
+    assert tm.tour_length(out, m) <= tm.tour_length(tour, m)
+
+
+def test_three_opt_at_n_200_from_a_two_opt_optimum_in_time():
+    # the scans alone take over a second at this size: one O(n^3) scan per move
+    rng = random.Random(200)
+    m = tm.build_distance_matrix(random_instance(rng, 200))
+    start = tm.two_opt(tm.random_tour(200, rng), m)
+    out = in_time(tm.three_opt, start, m)
+    tm.validate_tour(out, 200)
+    assert tm.tour_length(out, m) < tm.tour_length(start, m)
 
 
 @given(st.integers(3, 120))
@@ -401,6 +450,32 @@ def test_rejects_a_start_tour_that_is_no_permutation(berlin52, search, name):
     m = tm.build_distance_matrix(berlin52)
     with pytest.raises(tm.InvalidTourError, match="not a permutation of 0..51"):
         getattr(tm, search)(BAD_TOURS[name], m)
+
+
+def small_or_berlin52_matrix(n, five_city, berlin52) -> tm.DistanceMatrix:
+    """The matrix of a 3-city instance, which both searches return as it
+    is, of the five-city instance or of berlin52."""
+    instances = {3: tm.Instance.from_coords("tri", [(0, 0), (5, 0), (0, 5)]),
+                 5: five_city, 52: berlin52}
+    return tm.build_distance_matrix(instances[n])
+
+
+@pytest.mark.parametrize("search", ["two_opt", "three_opt"])
+@pytest.mark.parametrize("n", [3, 5, 52])
+def test_rejects_a_start_tour_of_floats(five_city, berlin52, search, n):
+    # 1.0 sorts and compares equal to 1, but no list can be indexed with it
+    m = small_or_berlin52_matrix(n, five_city, berlin52)
+    with pytest.raises(tm.InvalidTourError, match=f"not a permutation of 0..{n - 1}"):
+        getattr(tm, search)(tuple(float(c) for c in range(n)), m)
+
+
+@pytest.mark.parametrize("search", ["two_opt", "three_opt"])
+@pytest.mark.parametrize("n", [3, 5, 52])
+def test_a_numpy_integer_tour_gives_the_plain_int_result(five_city, berlin52, search, n):
+    m = small_or_berlin52_matrix(n, five_city, berlin52)
+    out = getattr(tm, search)(np.arange(n), m)
+    assert out == getattr(tm, search)(tuple(range(n)), m)
+    assert all(type(c) is int for c in out)
 
 
 def test_invalid_tour_error_is_a_toolkit_error_and_a_value_error():
