@@ -64,9 +64,37 @@ def _neighbor_lists(m: DistanceMatrix) -> list[list[int]]:
     return cached
 
 
+def _tour_positions(t: Tour, n: int) -> tuple[list[int], list[int]]:
+    """t as a list, and each city's position in it."""
+    tour = list(t)
+    pos = [0] * n
+    for p, c in enumerate(tour):
+        pos[c] = p
+    return tour, pos
+
+
+def _dont_look(tour: list[int], improving_move, apply_move) -> None:
+    """Drive a first-improvement sweep with don't-look bits: a FIFO queue of
+    cities, seeded in tour order. For the city a at the queue's head,
+    improving_move(a) gives a move or None; apply_move(move) applies it and
+    returns the cities to queue again. Returns when the queue is empty."""
+    queue = deque(tour)
+    queued = [True] * len(tour)
+    while queue:
+        a = queue.popleft()
+        queued[a] = False
+        move = improving_move(a)
+        if move is None:
+            continue
+        for city in apply_move(move):
+            if not queued[city]:
+                queued[city] = True
+                queue.append(city)
+
+
 def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
-    """First-improvement 2-opt over neighbour lists, with a FIFO queue of
-    cities for don't-look bits, seeded in tour order.
+    """First-improvement 2-opt over neighbour lists, with don't-look bits
+    (_dont_look).
 
     For the city a at the queue's head and each of its tour neighbours b
     (successor, then predecessor), try each c in a's neighbour list while
@@ -78,12 +106,9 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     n = m.n
     rows = m.rows()
     near = _neighbor_lists(m)
-    tour = list(t)
-    pos = [0] * n
-    for p, c in enumerate(tour):
-        pos[c] = p
+    tour, pos = _tour_positions(t, n)
 
-    def improving_move(a: int) -> tuple[int, int, int, int] | None:
+    def improving_move(a: int) -> tuple[int, int, int, int, int] | None:
         row_a = rows[a]
         i = pos[a]
         for step in (1, -1):
@@ -96,18 +121,11 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
                 e = tour[(pos[c] + step) % n]
                 # e == a: the move would add back the two edges it removes
                 if e != a and ((ac + rows[b][e]) - ab) - rows[c][e] < -IMPROVEMENT_EPS:
-                    return step, b, c, e
+                    return step, a, b, c, e
         return None
 
-    queue = deque(tour)
-    queued = [True] * n
-    while queue:
-        a = queue.popleft()
-        queued[a] = False
-        move = improving_move(a)
-        if move is None:
-            continue
-        step, b, c, e = move
+    def apply_move(move: tuple[int, int, int, int, int]) -> tuple[int, int, int, int]:
+        step, a, b, c, e = move
         i, j = pos[a], pos[c]
         # successor side: reverse b..c or e..a; predecessor side: a..e or c..b
         if step == 1:
@@ -117,17 +135,15 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
         tour[lo:hi + 1] = tour[hi:lo - 1 if lo else None:-1]
         for p in range(lo, hi + 1):
             pos[tour[p]] = p
-        for city in (a, b, c, e):
-            if not queued[city]:
-                queued[city] = True
-                queue.append(city)
+        return a, b, c, e
+
+    _dont_look(tour, improving_move, apply_move)
     return tour
 
 
 def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
-    """First-improvement Or-opt (Or, 1976) over neighbour lists, with a FIFO
-    queue of cities for don't-look bits, seeded in tour order. A move takes a
-    segment of one to three cities out of the tour and puts it back, either
+    """First-improvement Or-opt (Or, 1976) over neighbour lists, with
+    don't-look bits (_dont_look). A move takes a segment of one to three cities out of the tour and puts it back, either
     way round, between two other adjacent cities: the 3-opt moves that
     exchange two segments, one of them short.
 
@@ -144,10 +160,7 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     n = m.n
     rows = m.rows()
     near = _neighbor_lists(m)
-    tour = list(t)
-    pos = [0] * n
-    for p, c in enumerate(tour):
-        pos[c] = p
+    tour, pos = _tour_positions(t, n)
     # (direction, length) of each segment from a; at least three cities stay
     # outside it, so that it has a place other than back between p and q
     shapes = [(step, length) for length in (1, 2, 3) if length <= n - 3
@@ -175,14 +188,7 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
                             return segment, p, q, x, y, c, e
         return None
 
-    queue = deque(tour)
-    queued = [True] * n
-    while queue:
-        a = queue.popleft()
-        queued[a] = False
-        move = improving_move(a)
-        if move is None:
-            continue
+    def apply_move(move: tuple[list[int], int, int, int, int, int, int]) -> tuple[int, ...]:
         segment, p, q, x, y, c, e = move
         lo, hi = min(pos[s] for s in segment), max(pos[s] for s in segment)
         if hi - lo >= len(segment):  # the segment wraps: turn the list half round
@@ -203,10 +209,9 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
             tour[lo:hi + 1] = moved + tour[lo:hi + 1 - len(moved)]
         for k in range(lo, hi + 1):
             pos[tour[k]] = k
-        for city in (p, q, segment[0], segment[-1], c, e):
-            if not queued[city]:
-                queued[city] = True
-                queue.append(city)
+        return p, q, segment[0], segment[-1], c, e
+
+    _dont_look(tour, improving_move, apply_move)
     return tour
 
 
@@ -429,27 +434,32 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
     return None
 
 
-# From this many cities on, three_opt sweeps neighbour lists first and its
-# scans run in numpy blocks; below it the pure-Python scan is faster, a
-# whole scan there costing less than a few numpy blocks. 12 is the measured crossover from
-# random start tours (from 2-opt optima the blocks already win at 9), see
-# CHANGES.md.
+# From this many cities on, three_opt's scans run in numpy blocks; below it
+# the pure-Python scan is faster, a whole scan there costing less than a few
+# numpy blocks. 12 is the measured crossover from random start tours (from
+# 2-opt optima the blocks already win at 9), see CHANGES.md.
 BLOCK_SCAN_MIN_N = 12
+
+# From this many cities on, three_opt sweeps neighbour lists before its
+# scans; below it the scans alone are faster, the sweeps costing more than
+# the scan time their moves save. 10 is the measured crossover from random
+# start tours (from 2-opt optima, where the sweeps find less, it lies near
+# 26), see CHANGES.md.
+SWEEP_MIN_N = 10
 
 
 def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """3-opt local search: the 2-opt sweep, then the Or-opt sweep, then the
     certifying scans.
 
-    From BLOCK_SCAN_MIN_N cities on, the 2-opt neighbour-list sweep
+    From SWEEP_MIN_N cities on, the 2-opt neighbour-list sweep
     (_neighbor_sweep) and then the Or-opt one (_or_opt_sweep) make most of
     the moves, each for a few delta checks per city, where a scan costs up
     to O(n^3) per move. Every move they make is a 3-opt move. They can miss
     moves, so the first-improvement scans (_three_opt_scans) then try all
     cut triples until none improves: the result is 3-opt locally optimal
-    over all cut triples and reconnections. Below BLOCK_SCAN_MIN_N the
-    pure-Python scans run alone: a whole scan there costs less than a few
-    numpy calls, and results at those sizes stay the scans' own.
+    over all cut triples and reconnections. Below SWEEP_MIN_N the scans
+    run alone: there the sweeps cost more than the scan time they save.
 
     PSO polishes with the scans alone, as it does with 2-opt's passes: the
     sweeps' moves would change which optimum each polish returns, and so
@@ -460,7 +470,7 @@ def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """
     validate_tour(t, m.n)
     tour = [int(c) for c in t]
-    if m.n >= BLOCK_SCAN_MIN_N:
+    if m.n >= SWEEP_MIN_N:
         tour = _or_opt_sweep(_neighbor_sweep(tour, m), m)
     return _three_opt_scans(tour, m)
 

@@ -13,6 +13,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
+from tspmeta import localsearch
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, NEIGHBORS,
                                   _first_improving_block, _first_improving_move,
@@ -317,8 +318,8 @@ class TestThreeOpt:
             "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
 
     def test_sweep_then_scans_local_optimum_is_pinned(self):
-        # the same starts as above; from BLOCK_SCAN_MIN_N cities on, the 2-opt
-        # and Or-opt sweeps' moves come first
+        # the same starts as above; from SWEEP_MIN_N cities on, the 2-opt and
+        # Or-opt sweeps' moves come first
         rng = random.Random(2024)
         digest = hashlib.sha256()
         for _ in range(100):
@@ -326,7 +327,7 @@ class TestThreeOpt:
             m = tm.build_distance_matrix(random_instance(rng, n))
             digest.update(repr(in_time(tm.three_opt, tm.random_tour(n, rng), m)).encode())
         assert digest.hexdigest() == (
-            "73e5c546df4842aa26c4395d86fdc2a93aa787ef2438dc7def0ac9d5ccb3efb0")
+            "c72c10aa0cfcb243bba07c151639143aee342c98f117ca05bb045e0c6eddcd91")
 
     def test_each_case_delta_matches_its_rebuilt_tour(self):
         rng = random.Random(2027)
@@ -386,7 +387,8 @@ def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
         assert in_time(_three_opt_scans, start, m) == reference_three_opt(start, m)
 
 
-# no shrinking, as for 2-opt above; n on both sides of BLOCK_SCAN_MIN_N
+# no shrinking, as for 2-opt above; n on both sides of SWEEP_MIN_N and
+# BLOCK_SCAN_MIN_N
 @settings(max_examples=100, deadline=None, phases=(Phase.generate,))
 @given(st.integers(3, 16), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_three_opt_returns_a_shorter_or_equal_three_opt_optimum(n, grid, polished, seed):
@@ -412,14 +414,25 @@ def test_or_opt_sweep_returns_a_shorter_or_equal_permutation(n, grid, seed):
     assert tm.tour_length(out, m) <= tm.tour_length(tour, m)
 
 
-def test_three_opt_at_n_200_from_a_two_opt_optimum_in_time():
-    # the scans alone take over a second at this size: one O(n^3) scan per move
+def test_three_opt_at_n_200_from_a_two_opt_optimum_in_time(monkeypatch):
+    # each scan costs up to O(n^3); from this start the scans alone make 20,
+    # after the sweeps 4, and a 2-opt optimum leaves the 2-opt sweep nothing,
+    # so the count stays this low only if the Or-opt sweep makes its moves
+    scans = []
+    block_scan = localsearch._first_improving_block
+
+    def counted_block_scan(order, m):
+        scans.append(len(order))
+        return block_scan(order, m)
+
+    monkeypatch.setattr(localsearch, "_first_improving_block", counted_block_scan)
     rng = random.Random(200)
     m = tm.build_distance_matrix(random_instance(rng, 200))
     start = tm.two_opt(tm.random_tour(200, rng), m)
     out = in_time(tm.three_opt, start, m)
     tm.validate_tour(out, 200)
     assert tm.tour_length(out, m) < tm.tour_length(start, m)
+    assert len(scans) <= 8
 
 
 @given(st.integers(3, 120))
