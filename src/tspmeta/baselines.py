@@ -6,14 +6,16 @@ acceptance, geometric cooling). Both are deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import random
 import statistics
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import MAX_POPULATION, ConfigError, check_types
+from .errors import MAX_POPULATION, MAX_TEMPERATURE_LEVELS, ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
                        random_tour, run_search)
 from .localsearch import reversal_table
@@ -99,29 +101,51 @@ def swap_mutation(t: Tour, rng: random.Random) -> Tour:
     return tuple(order)
 
 
+@functools.lru_cache(maxsize=8)
+def _crossover_windows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only (n + 1, n) views of 2n-long arrays: row s of the first
+    is the rotation (s + c) % n of the positions c, row L of the second is
+    True at the first n - L of them. Cached for a few sizes."""
+    return (sliding_window_view(np.arange(2 * n) % n, n),
+            sliding_window_view(np.arange(2 * n) < n, n))
+
+
 def order_crossover_rows(p1: np.ndarray, p2: np.ndarray,
                          cut_l: np.ndarray, cut_r: np.ndarray) -> np.ndarray:
     """order_crossover applied row by row to (C, n) parent arrays with
-    per-row cuts. Works in coordinates rotated left by cut_r, where p1's
-    segment is the tail of length L = cut_r - cut_l and the fill (p2's
-    cities in cyclic order from cut_r, minus the segment's) is the head.
-    Indices are flat (row * n + column): one take or put per gather."""
+    per-row cuts. Positions and cities are read in coordinates rotated left
+    by cut_r, where p1's segment is the tail of length L = cut_r - cut_l and
+    the fill positions are the head, of length n - L. The child is a copy
+    of p1 whose head positions get p2's cities, in rotated order, that are
+    not in p1's segment. Every row's rotation and head come from one row of
+    _crossover_windows, indices are flat (row * n + column), and the kept
+    cities are compacted and scattered over all rows at once."""
     count, n = p1.shape
-    pos = np.arange(n)
-    base = (np.arange(count) * n)[:, None]
-    rotate = pos + cut_r[:, None]
-    np.subtract(rotate, n, out=rotate, where=rotate >= n)  # cheaper than % n
-    rotate += base
-    rotated = p1.take(rotate)
-    rot2 = p2.take(rotate)
-    head = pos < (n - cut_r + cut_l)[:, None]
-    in_segment = np.empty(p1.size, dtype=bool)  # flat (row, city)
-    in_segment[base + rotated] = ~head
-    # boolean indexing reads row-major, so each row's kept cities keep
-    # their order and fill exactly that row's n - L head positions
-    rotated[head] = rot2[~in_segment[base + rot2]]
-    child = np.empty_like(rotated)
-    child.put(rotate, rotated)
+    rotations, heads = _crossover_windows(n)
+    rows = (np.arange(count) * n)[:, None]
+    rotate = rotations[cut_r]
+    rotate += rows
+    head = heads[cut_r - cut_l].reshape(-1)
+    outside = np.empty(p1.size, dtype=bool)  # flat (row, city): not in the segment
+    cities = p1.take(rotate)
+    cities += rows
+    outside[cities.reshape(-1)] = head
+    cities = p2.take(rotate)
+    cities += rows
+    kept = outside[cities.reshape(-1)]
+    cities -= rows
+    # compress reads row-major, so each row's kept cities keep their order
+    # and land on exactly that row's n - L head positions
+    fill = cities.compress(kept)
+    # Each temporary is as large as the parents, and the GA makes them every
+    # generation. Freeing each before the next is made keeps the heap low:
+    # the C allocator hands a freed heap top back to the system, and
+    # growing it again costs page faults.
+    del cities
+    dest = rotate.compress(head)
+    del rotate
+    child = p1.copy()
+    child.reshape(-1)[dest] = fill
     return child
 
 
@@ -229,8 +253,10 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     spread (population standard deviation) of 100 sampled proposal deltas at
     the starting tour. Each temperature level runs iters_per_temp proposals,
     then multiplies the temperature by the cooling factor; the run stops at
-    min_temp. run_search records the best-ever cost at the start and once
-    per level. Evaluation counts include every proposed neighbor.
+    min_temp. A schedule of more than MAX_TEMPERATURE_LEVELS levels raises
+    ConfigError before the first proposal. run_search records the best-ever
+    cost at the start and once per level. Evaluation counts include every
+    proposed neighbor.
 
     The starting tour comes from random_tour on random.Random(seed). Every
     later draw comes from a numpy Generator seeded by the next 64 bits of
@@ -283,6 +309,9 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
 
     temps = []  # each level's temperature
     while temp > cfg.min_temp:
+        if len(temps) == MAX_TEMPERATURE_LEVELS:
+            raise ConfigError(f"the cooling schedule has more than {MAX_TEMPERATURE_LEVELS} "
+                              "temperature levels; lower cooling or raise min_temp")
         temps.append(temp)
         temp *= cfg.cooling
     iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n

@@ -40,6 +40,11 @@ class InvalidTourError(TspmetaError, ValueError):
 # first iteration; the configs in use hold at most a few hundred.
 MAX_POPULATION = 10_000
 
+# The most temperature levels an SA run may hold. The run lists its levels
+# before its first proposal, and a cooling factor a hair below 1 would list
+# quadrillions; the configs in use hold a few thousand.
+MAX_TEMPERATURE_LEVELS = 1_000_000
+
 
 def _describe(t: type) -> str:
     if t is int:

@@ -7,6 +7,7 @@ canonical forms (see canonicalize).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -121,11 +122,18 @@ def cycle_length(order, rows) -> float:
 
 
 def cycle_lengths(orders: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """cycle_length of each row of a (P, n) array of visit orders, equal to
-    it bit for bit: the row-wise cumsum adds the same edges in the same
-    order (a plain .sum() would add them pairwise and round differently)."""
-    edges = d[orders, np.roll(orders, -1, axis=1)]
-    return np.cumsum(edges, axis=1)[:, -1]
+    """cycle_length of each row of a (P, n) array of visit orders, P >= 0,
+    n >= 1, equal to it bit for bit: the row-wise cumsum adds the same edges
+    in the same order (a plain .sum() would add them pairwise and round
+    differently). The edges come from one gather from d's flat view, at
+    city * n + successor, the successor of a row's last city being its
+    first."""
+    n = orders.shape[1]
+    edges = orders * n
+    edges[:, :-1] += orders[:, 1:]
+    edges[:, -1] += orders[:, 0]
+    lengths = d.take(edges)
+    return lengths.cumsum(axis=1, out=lengths)[:, -1]
 
 
 def tour_length(tour: Tour, m: DistanceMatrix) -> float:
@@ -206,12 +214,32 @@ def brute_force_optimal(instance: Instance) -> tuple[Tour, float]:
     return best_order, cycle_length(best_order, rows)
 
 
+@functools.lru_cache(maxsize=8)
+def _shuffle_draws(n: int) -> tuple[tuple[int, int], ...]:
+    """(i, (i + 1).bit_length()) for i from n-1 down to 1: the bound and
+    the bit count of each draw of a Fisher-Yates shuffle of n items. Cached
+    for a few sizes."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
 def random_tour(n: int, rng: random.Random) -> Tour:
-    """Uniform random permutation drawn from the given stream."""
+    """Uniform random permutation drawn from the given stream: the
+    Fisher-Yates shuffle (Durstenfeld, 1964) of list(range(n)) that
+    rng.shuffle makes, draw for draw. For i from n-1 down to 1 it draws
+    j = rng.getrandbits(k), k = (i + 1).bit_length(), until j <= i, and
+    swaps positions i and j, as Random.shuffle does through
+    _randbelow_with_getrandbits, but with no Python call per city besides
+    getrandbits. So it returns what rng.shuffle would and leaves rng in the
+    same state, and every seed keeps its tours."""
     if n < 1:
         raise ValueError("n must be >= 1")
     order = list(range(n))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i, k in _shuffle_draws(n):
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return tuple(order)
 
 

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import settings
 
@@ -36,3 +38,21 @@ def tsplib_text(coords, name: str = "t") -> str:
     nodes = "".join(f"{i} {x!r} {y!r}\n" for i, (x, y) in enumerate(coords, start=1))
     return (f"NAME: {name}\nTYPE: TSP\nDIMENSION: {len(coords)}\nEDGE_WEIGHT_TYPE: EUC_2D\n"
             f"NODE_COORD_SECTION\n{nodes}EOF\n")
+
+
+def in_time(search, *args, seconds: float = 5.0):
+    """search(*args), or TimeoutError once it has run for `seconds`: a
+    tour-ordered matrix or a position index that falls out of step with the
+    tour, or a block scan whose deltas disagree with the move it applies,
+    can make a local search cycle forever, and an uncapped SA schedule can
+    grow without bound; this turns either into a failure."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{search.__name__} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return search(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tspmeta as tm
-from conftest import random_instance
+from tspmeta import baselines
+from conftest import in_time, random_instance
 from tspmeta.baselines import (SA_BLOCK, _sa_proposals, order_crossover_rows, sa_thresholds,
                                swap_mutation_rows, tournament_winners)
-from tspmeta.errors import MAX_POPULATION
+from tspmeta.errors import MAX_POPULATION, MAX_TEMPERATURE_LEVELS
 from tspmeta.instance import cycle_length, cycle_lengths
 from tspmeta.localsearch import reversal_table
 
@@ -96,15 +98,19 @@ class TestBatchedOperators:
             tm.validate_tour(after, n)
             assert sum(a != b for a, b in zip(before, after)) == 2
 
-    @given(st.integers(3, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from(tm.Metric))
-    def test_batched_scores_equal_cycle_length_bit_for_bit(self, n, seed, metric):
+    @given(st.integers(1, 300), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(tm.Metric))
+    @example(1, 3, 0, tm.Metric.EUCLIDEAN_EXACT)
+    @example(2, 0, 0, tm.Metric.EUCLIDEAN_EXACT)
+    def test_batched_scores_equal_cycle_length_bit_for_bit(self, n, count, seed, metric):
+        # the GA scores (0, n) batches too: when elitism == population
         rng = random.Random(seed)
         inst = tm.Instance.from_coords(
             "r", [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(n)], metric)
         m = tm.build_distance_matrix(inst)
-        tours = [tm.random_tour(n, rng) for _ in range(4)]
-        assert cycle_lengths(np.array(tours), m.d).tolist() == \
-               [cycle_length(t, m.rows()) for t in tours]
+        tours = [tm.random_tour(n, rng) for _ in range(count)]
+        orders = np.array(tours, dtype=np.intp).reshape(count, n)
+        assert cycle_lengths(orders, m.d).tolist() == [cycle_length(t, m.rows()) for t in tours]
 
     @given(tournaments())
     def test_tournament_winner_is_the_lexicographic_minimum(self, costs_and_draws):
@@ -399,6 +405,24 @@ class TestRunSa:
             tm.validate_tour(result.best_tour, inst.n)
             assert result.best_cost == tm.tour_length(
                 result.best_tour, tm.build_distance_matrix(inst))
+
+    @pytest.mark.parametrize("temps", [dict(initial_temp=2.0, min_temp=1.0), dict()])
+    def test_a_schedule_of_too_many_levels_is_refused(self, five_city, temps):
+        # about 6.2e15 levels from 2 to 1, more from AUTO down to 1e-3: the
+        # run must refuse them before it lists them all. Listing a million
+        # takes well under a second, and the short limit also bounds how far
+        # an uncapped list could grow before the test fails.
+        cfg = tm.SaConfig(cooling=0.9999999999999999, **temps)
+        with pytest.raises(tm.ConfigError, match=f"more than {MAX_TEMPERATURE_LEVELS}"):
+            in_time(tm.run_sa, five_city, cfg, seconds=2.0)
+
+    def test_a_schedule_of_exactly_the_most_levels_runs(self, five_city, monkeypatch):
+        # temperatures 2^-k for k = 0..19 lie above 2^-20: twenty levels
+        monkeypatch.setattr(baselines, "MAX_TEMPERATURE_LEVELS", 20)
+        cfg = tm.SaConfig(initial_temp=1.0, cooling=0.5, min_temp=0.5 ** 20, iters_per_temp=1)
+        assert tm.run_sa(five_city, cfg).iterations_run == 20
+        with pytest.raises(tm.ConfigError, match="more than 20 temperature levels"):
+            tm.run_sa(five_city, replace(cfg, min_temp=0.5 ** 21))
 
     @pytest.mark.parametrize("kwargs", [
         dict(cooling=0.0),

@@ -10,7 +10,7 @@ import pytest
 
 import tspmeta as tm
 from tspmeta.cli import build_parser, main
-from conftest import tsplib_text
+from conftest import in_time, tsplib_text
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 BUNDLED_SPEC = SPECS_DIR / "five_city_repro.json"
@@ -86,6 +86,13 @@ class TestSolve:
         assert main(["solve", "--builtin-paper", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "internal error" not in captured.err
+
+    def test_sa_schedule_of_too_many_levels_exits_2(self, capsys):
+        flags = ["--algo", "sa", "--cooling", "0.9999999999999999", "--initial-temp", "2",
+                 "--min-temp", "1"]
+        assert in_time(main, ["solve", "--builtin-paper", *flags], seconds=2.0) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "temperature levels" in captured.err
 
     def test_flag_of_another_solver_exits_2(self, capsys):
         assert main(["solve", "--builtin-paper", "--algo", "ga", "--particles", "3"]) == 2

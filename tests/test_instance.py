@@ -193,6 +193,17 @@ class TestRandomTour:
     def test_single(self):
         assert tm.random_tour(1, random.Random(0)) == (0,)
 
+    @pytest.mark.parametrize("n", [*range(1, 71), 127, 128, 129, 255, 256, 257, 1000])
+    def test_draws_what_random_shuffle_draws(self, n):
+        # the same tour and the same stream state afterwards, on both sides of
+        # the powers of two where the rejection rate of each draw jumps
+        for seed in range(40):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            order = list(range(n))
+            theirs.shuffle(order)
+            assert tm.random_tour(n, ours) == tuple(order)
+            assert ours.getstate() == theirs.getstate()
+
     def test_deterministic_per_stream_state(self):
         assert tm.random_tour(8, random.Random(42)) == tm.random_tour(8, random.Random(42))
 

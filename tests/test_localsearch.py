@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import os
 import random
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, NEIGHBORS,
                                   _three_opt_deltas, _three_opt_offsets, _three_opt_rebuild,
                                   _three_opt_scans, _tour_offsets, _two_opt_passes,
                                   reversal_table)
-from conftest import random_instance
+from conftest import in_time, random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
 
@@ -69,24 +68,6 @@ def reference_two_opt(t, m):
         i, j = int(i_idx[k]), int(j_idx[k])
         order[i:j + 1] = order[i:j + 1][::-1]
     return tuple(int(c) for c in order)
-
-
-def in_time(search, tour, m, seconds: float = 5.0):
-    """search(tour, m), or TimeoutError once it has run for `seconds`: a
-    tour-ordered matrix or a position index that falls out of step with the
-    tour, or a block scan whose deltas disagree with the move it applies,
-    can make a local search cycle forever, and this turns that into a
-    failure."""
-    def expire(signum, frame):
-        raise TimeoutError(f"{search.__name__} still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return search(tour, m)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def uniform_or_grid_instance(rng, n: int, grid: bool) -> tm.Instance:
