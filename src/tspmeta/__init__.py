@@ -2,7 +2,7 @@
 
 Solvers: discrete particle swarm optimization with swap-sequence velocities
 (plus optional 2-opt/3-opt refinement), a genetic algorithm, simulated
-annealing, and an exact brute-force oracle for small instances. A seeded
+annealing, and an exact Held-Karp oracle for small instances. A seeded
 benchmark harness produces reproducible CSV/JSON comparisons, and the CLI
 adds SVG tour figures.
 """

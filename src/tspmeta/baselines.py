@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import random
 import statistics
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -66,8 +67,8 @@ class SaConfig:
                 raise ConfigError("initial_temp must be > 0 (or None for AUTO)")
             if self.min_temp >= self.initial_temp:
                 raise ConfigError("min_temp must be below initial_temp")
-        if self.iters_per_temp is not None and self.iters_per_temp < 1:
-            raise ConfigError("iters_per_temp must be >= 1 when set")
+        if self.iters_per_temp is not None and not 1 <= self.iters_per_temp <= sys.maxsize:
+            raise ConfigError(f"iters_per_temp must be in [1, {sys.maxsize}] (islice's limit)")
 
 
 def order_crossover(p1: Tour, p2: Tour, cut_l: int, cut_r: int) -> Tour:

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: solve (run a metaheuristic), exact (brute-force optimum),
+Subcommands: solve (run a metaheuristic), exact (exact optimum),
 bench (experiment harness), convert (instance format conversion), and
 plot (SVG tour figure). Exit codes: 0 success, 2 input/config error,
 1 internal failure. City numbering in human-readable output is 1-based;
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import TspmetaError
-from .instance import Instance, Metric, Tour, brute_force_optimal, validate_tour
+from .instance import MAX_EXACT_CITIES, Instance, Metric, Tour, brute_force_optimal, validate_tour
 from .svgplot import render_tour_svg
 from .tsplib import five_city_instance, write_coords_csv, write_tsplib
 
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help=f.metadata.get("help"), **value_args)
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_exact = sub.add_parser("exact", help="exact optimum by exhaustive enumeration (n <= 12)")
+    p_exact = sub.add_parser(
+        "exact", help=f"exact optimum by the Held-Karp dynamic programme (n <= {MAX_EXACT_CITIES})")
     _add_instance_args(p_exact)
     p_exact.set_defaults(func=_cmd_exact)
 

@@ -22,8 +22,8 @@ from .errors import DimensionMismatchError, InstanceTooLargeError, InvalidTourEr
 
 Tour = tuple[int, ...]
 
-# (n-1)!/2 tours at n=12 is ~2e7; beyond that the exact solver is refused.
-MAX_EXACT_CITIES = 12
+# The exact solver's tables take 2^(n-1)·(n-1)·9 bytes: about 4.4 MB at n = 16.
+MAX_EXACT_CITIES = 16
 
 
 class Metric(Enum):
@@ -139,6 +139,7 @@ def cycle_lengths(orders: np.ndarray, d: np.ndarray) -> np.ndarray:
 def tour_length(tour: Tour, m: DistanceMatrix) -> float:
     if len(tour) != m.n:
         raise DimensionMismatchError(f"tour has {len(tour)} cities, matrix expects {m.n}")
+    validate_tour(tour, m.n)
     return cycle_length(tour, m.rows())
 
 
@@ -167,51 +168,40 @@ def canonicalize(tour: Tour) -> Tour:
 
 
 def brute_force_optimal(instance: Instance) -> tuple[Tour, float]:
-    """Exact optimum by exhaustive enumeration of the (n-1)!/2 distinct
-    undirected tours (city 0 fixed first, second city < last city).
-
-    Branches whose partial length already reaches the incumbent are cut;
-    with nonnegative distances this never discards a strictly better tour,
-    and ties keep the earlier (lexicographically smallest) canonical tour.
-    """
+    """Exact optimum by the subset dynamic programme of Held & Karp (1962)
+    and Bellman (1962): cost[S, j] is the cheapest path from city 0 through
+    the set S of cities (bit c is city c+1) that ends at city j+1, summed in
+    visit order. Parents keep the lowest index among ties, so under exact
+    ties the tour read back from city 0 is the lexicographically smallest
+    canonical optimum, the one exhaustive enumeration keeps. It is returned
+    canonicalized and re-scored by tour_length."""
     n = instance.n
     if n > MAX_EXACT_CITIES:
         raise InstanceTooLargeError(
             f"exact solver is limited to {MAX_EXACT_CITIES} cities, got {n}")
-    m = build_distance_matrix(instance)
-    rows = m.rows()
     if n == 1:
         return (0,), 0.0
-    if n == 2:
-        return (0, 1), cycle_length((0, 1), rows)
-
-    best_order: tuple[int, ...] | None = None
-    best_len = math.inf
-    order = [0] * n
-    used = [False] * n
-    used[0] = True
-
-    def extend(pos: int, last: int, acc: float) -> None:
-        nonlocal best_order, best_len
-        if pos == n:
-            if order[1] < order[n - 1]:
-                total = acc + rows[last][0]
-                if total < best_len:
-                    best_len = total
-                    best_order = tuple(order)
-            return
-        for c in range(1, n):
-            if not used[c]:
-                nl = acc + rows[last][c]
-                if nl < best_len:
-                    used[c] = True
-                    order[pos] = c
-                    extend(pos + 1, c, nl)
-                    used[c] = False
-
-    extend(1, 0, 0.0)
-    assert best_order is not None
-    return best_order, cycle_length(best_order, rows)
+    m = build_distance_matrix(instance)
+    d, k = m.d, n - 1
+    subsets = np.arange(1 << k)
+    sizes = ((subsets[:, None] >> np.arange(k)) & 1).sum(axis=1)
+    cost = np.full((1 << k, k), np.inf)
+    parent = np.zeros((1 << k, k), dtype=np.int8)
+    cost[1 << np.arange(k), np.arange(k)] = d[0, 1:]
+    for size in range(2, n):
+        of_size = subsets[sizes == size]
+        for j in range(k):
+            sets = of_size[(of_size >> j) & 1 == 1]
+            paths = cost[sets ^ (1 << j)] + d[1:, j + 1]
+            parent[sets, j] = paths.argmin(axis=1)
+            cost[sets, j] = paths.min(axis=1)
+    j = int((cost[-1] + d[1:, 0]).argmin())
+    tour, sets = [0], (1 << k) - 1
+    while sets:
+        tour.append(j + 1)
+        sets, j = sets ^ (1 << j), int(parent[sets, j])
+    tour = canonicalize(tuple(tour))
+    return tour, tour_length(tour, m)
 
 
 @functools.lru_cache(maxsize=8)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import statistics
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -437,7 +438,13 @@ class TestRunSa:
         dict(initial_temp=math.nan),
         dict(iters_per_temp=2.5),
         dict(cooling="0.9"),
+        dict(iters_per_temp=sys.maxsize + 1),  # more than islice counts off
+        dict(iters_per_temp=10 ** 29),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(tm.ConfigError, match=rf"\b{next(iter(kwargs))}\b"):
             tm.SaConfig(**kwargs)
+
+    def test_iters_per_temp_at_the_bound_is_accepted(self):
+        # only built: a run would take for ever
+        assert tm.SaConfig(iters_per_temp=sys.maxsize).iters_per_temp == sys.maxsize

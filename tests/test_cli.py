@@ -11,6 +11,7 @@ import pytest
 import tspmeta as tm
 from tspmeta.cli import build_parser, main
 from conftest import in_time, tsplib_text
+from tspmeta.instance import MAX_EXACT_CITIES
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 BUNDLED_SPEC = SPECS_DIR / "five_city_repro.json"
@@ -94,6 +95,12 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == "" and "temperature levels" in captured.err
 
+    @pytest.mark.parametrize("iters", ["9223372036854775808", "1" + "0" * 29])
+    def test_sa_levels_longer_than_islice_takes_exit_2(self, capsys, iters):
+        assert main(["solve", "--builtin-paper", "--algo", "sa", "--iters-per-temp", iters]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: iters_per_temp")
+
     def test_flag_of_another_solver_exits_2(self, capsys):
         assert main(["solve", "--builtin-paper", "--algo", "ga", "--particles", "3"]) == 2
         captured = capsys.readouterr()
@@ -145,11 +152,23 @@ class TestExact:
         assert main(["exact", str(p)]) == 0
         assert "optimal cost: 10.00000" in capsys.readouterr().out
 
+    def test_the_largest_instance_exits_0(self, tmp_path, capsys):
+        p = tmp_path / "line.csv"
+        p.write_text("\n".join(f"{i},0" for i in range(MAX_EXACT_CITIES)))
+        assert main(["exact", str(p)]) == 0
+        assert f"optimal cost: {2 * (MAX_EXACT_CITIES - 1)}.00000" in capsys.readouterr().out
+
     def test_oversized_instance_exits_2_naming_limit(self, tmp_path, capsys):
         p = tmp_path / "big.csv"
-        p.write_text("\n".join(f"{i},0" for i in range(13)))
+        p.write_text("\n".join(f"{i},0" for i in range(MAX_EXACT_CITIES + 1)))
         assert main(["exact", str(p)]) == 2
-        assert "12" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: exact solver is limited to {MAX_EXACT_CITIES} "
+                                           f"cities, got {MAX_EXACT_CITIES + 1}\n")
+
+    def test_help_names_the_limit(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+        assert f"Held-Karp dynamic programme (n <= {MAX_EXACT_CITIES})" in out
 
 
 @pytest.mark.parametrize("command", [

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
-from conftest import random_instance
+from conftest import enumerated_optimal, in_time, random_instance
+from tspmeta.instance import MAX_EXACT_CITIES
 
 FIVE_CITY_OPT_COST = 15.15298244508295  # exhaustive enumeration over all 12 distinct tours
 FIVE_CITY_ALT_ROUTE_COST = 17.758533720546936  # route (0,1,4,3,2), hand edge sum
@@ -131,6 +132,13 @@ class TestTourLength:
         with pytest.raises(tm.DimensionMismatchError):
             tm.tour_length((0, 1, 2), m)
 
+    @pytest.mark.parametrize("tour", [(0, 1, 2, 3, -1), (0, 0, 1, 2, 3)])
+    def test_a_tuple_that_is_no_tour_raises(self, five_city, tour):
+        # -1 would index the last city and a repeated city would be summed
+        m = tm.build_distance_matrix(five_city)
+        with pytest.raises(tm.InvalidTourError):
+            tm.tour_length(tour, m)
+
 
 class TestCanonicalize:
     def test_rotation_only(self):
@@ -176,9 +184,44 @@ class TestBruteForceOptimal:
 
     def test_size_guard(self):
         rng = random.Random(0)
-        inst = random_instance(rng, 13)
+        inst = random_instance(rng, MAX_EXACT_CITIES + 1)
         with pytest.raises(tm.InstanceTooLargeError):
             tm.brute_force_optimal(inst)
+
+    def test_the_largest_size_in_time(self):
+        # about 0.05 s at n = 16; no 3-opt optimum from a random start beats
+        # it (each canonicalized, so a tie sums its edges in the same order)
+        rng = random.Random(16)
+        inst = random_instance(rng, MAX_EXACT_CITIES)
+        m = tm.build_distance_matrix(inst)
+        tour, cost = in_time(tm.brute_force_optimal, inst, seconds=2.0)
+        assert tour == tm.canonicalize(tour) and cost == tm.tour_length(tour, m)
+        for _ in range(5):
+            local = tm.canonicalize(tm.three_opt(tm.random_tour(m.n, rng), m))
+            assert cost <= tm.tour_length(local, m)
+
+    # cities on a small integer grid under the rounded metric: most such
+    # instances have several optimal tours of exactly equal integer cost
+    @settings(max_examples=120)
+    @given(coords=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=10))
+    @example(coords=[(x, y) for y in range(3) for x in range(3)])
+    @example(coords=[(x, y) for y in range(3) for x in range(4)][:11])
+    @example(coords=[(x, 0) for x in range(11)])
+    def test_rounded_grids_equal_the_enumeration_bit_for_bit(self, coords):
+        inst = tm.Instance.from_coords("grid", coords, tm.Metric.EUCLIDEAN_ROUNDED)
+        assert tm.brute_force_optimal(inst) == enumerated_optimal(inst)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=11, seed=0)
+    @example(n=11, seed=1)
+    def test_uniform_instances_equal_the_enumeration(self, n, seed):
+        inst = random_instance(random.Random(seed), n)
+        tour, cost = tm.brute_force_optimal(inst)
+        ref_tour, ref_cost = enumerated_optimal(inst)
+        assert tour == ref_tour
+        assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
 
     def test_dominates_random_tours(self):
         rng = random.Random(21)

@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 import tspmeta as tm
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -25,6 +27,11 @@ class TestRenderTourSvg:
     def test_caption_has_cost_at_five_decimals(self, five_city):
         svg = tm.render_tour_svg(five_city, (0, 1, 2, 3, 4))
         assert "15.15298" in svg
+
+    @pytest.mark.parametrize("tour", [(0, 1, 2, 3, -1), (0, 0, 1, 2, 3)])
+    def test_a_tuple_that_is_no_tour_raises(self, five_city, tour):
+        with pytest.raises(tm.InvalidTourError):
+            tm.render_tour_svg(five_city, tour)
 
     def test_single_city(self):
         inst = tm.Instance.from_coords("one", [(2.0, 7.0)])
