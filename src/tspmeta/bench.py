@@ -128,7 +128,7 @@ def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read an experiment spec from a JSON file. See README for the schema."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # drops a leading BOM
     except UnicodeDecodeError as exc:
         raise ConfigError(f"experiment spec is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -1,7 +1,8 @@
 """Tour improvement: 2-opt (a neighbour-list sweep, then best-improvement
-passes) and 3-opt (the 2-opt sweep, then an Or-opt neighbour-list sweep,
-then first-improvement scans over all cut triples with restart). Both are
-deterministic and never return a longer tour than they were given.
+passes) and 3-opt (first-improvement scans over all cut triples with
+restart; from SWEEP_AND_BLOCK_MIN_N cities on, after the 2-opt sweep and an
+Or-opt neighbour-list sweep, and in numpy blocks). Both are deterministic
+and never return a longer tour than they were given.
 """
 
 from __future__ import annotations
@@ -283,12 +284,13 @@ def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
 
 
 def _three_opt_deltas(rows, a, b, c, e, f, g):
-    """Deltas of the seven reconnections of edges (a,b), (c,e), (f,g)."""
+    """Deltas of the seven reconnections of edges (a,b), (c,e), (f,g), each
+    new edge read in the direction _three_opt_rebuild's tour runs it."""
     base = rows[a][b] + rows[c][e] + rows[f][g]
     return (
         rows[a][c] + rows[b][e] + rows[f][g] - base,  # reverse first segment
         rows[a][b] + rows[c][f] + rows[e][g] - base,  # reverse second segment
-        rows[a][f] + rows[c][e] + rows[b][g] - base,  # reverse both as one block
+        rows[a][f] + rows[e][c] + rows[b][g] - base,  # reverse both as one block
         rows[a][c] + rows[b][f] + rows[e][g] - base,  # reverse each segment
         rows[a][e] + rows[f][b] + rows[c][g] - base,  # exchange segments
         rows[a][e] + rows[f][c] + rows[b][g] - base,  # exchange, first reversed
@@ -335,40 +337,31 @@ def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int
     return None
 
 
-# _three_opt_deltas' edges by the letter of each end, base first, then the
-# seven reconnections: a, b, c, e, f, g are tour positions i, i+1, j, j+1,
-# k and k+1 (mod n)
-_THREE_OPT_TERMS = (
-    ("ab", "ce", "fg"),
-    ("ac", "be", "fg"),
-    ("ab", "cf", "eg"),
-    ("af", "ce", "bg"),
-    ("ac", "bf", "eg"),
-    ("ae", "fb", "cg"),
-    ("ae", "fc", "bg"),
-    ("af", "eb", "cg"),
-)
-
-
 @functools.lru_cache(maxsize=8)
 def _three_opt_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gather table of _first_improving_block for n cities: (offsets, j, k).
 
     j and k list the pairs 1 <= j < k < n in lexicographic order; the pairs
     of cut triple row i, those with j > i, are the tail from the first pair
-    with j = i + 1. offsets[r, t, p] locates edge t of _THREE_OPT_TERMS row
-    r for pair p in a flat array holding the n x n tour-ordered matrix P,
-    then copies of P's rows i and i+1, of its column i+1 and of P[i, i+1].
-    An edge with an end at position i or i+1 is read from those copies, so
-    no offset depends on i. O(n^2) entries; cached for a few sizes."""
+    with j = i + 1. offsets[r, t, p] locates, for pair p, edge t of the
+    base tour (r = 0) or of reconnection case r - 1, in a flat array
+    holding the n x n tour-ordered matrix P, then copies of P's rows i and
+    i+1, of its column i+1 and of P[i, i+1]. a, b, c, e, f, g are tour
+    positions i, i+1, j, j+1, k and k+1 (mod n); each case's three new
+    edges are read off _three_opt_rebuild's order of b, c, e, f: a to its
+    first letter, the middle junction, and its last letter to g. An edge
+    with an end at position i or i+1 is read from the copies, so no offset
+    depends on i. O(n^2) entries; cached for a few sizes."""
     j, k = np.triu_indices(n, k=1)
     keep = j >= 1
     j, k = j[keep], k[keep]
     ends = {"c": j, "e": j + 1, "f": k, "g": (k + 1) % n}
     row_a, row_b, column_b, edge_ab = n * n, n * n + n, n * n + 2 * n, n * n + 3 * n
+    rebuilt = [["b", "c", "e", "f"]] + [_three_opt_rebuild(["b", "c"], ["e", "f"], case)
+                                        for case in range(7)]
     offsets = np.empty((8, 3, len(j)), dtype=np.intp)
-    for r, terms in enumerate(_THREE_OPT_TERMS):
-        for t, (x, y) in enumerate(terms):
+    for r, (first, left, right, last) in enumerate(rebuilt):
+        for t, (x, y) in enumerate((("a", first), (left, right), (last, "g"))):
             if x + y == "ab":
                 offsets[r, t] = edge_ab
             elif x == "a":
@@ -385,24 +378,21 @@ def _three_opt_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-# The block scan's first block of cut triples, and the most it grows to by
-# doubling: small, for a scan that stops at an early triple; bounded, for
-# the scratch arrays (8 x 3 values per triple).
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 512
+# The block scan's block of cut triples: bounded, for the scratch arrays
+# (8 x 3 values per triple).
+_BLOCK = 512
 
 
 def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, int, int] | None:
     """_first_improving_move's result, from numpy blocks of cut triples.
 
-    Each block is a run of consecutive triples of one row i, in
-    lexicographic order. Its edges are gathered with _three_opt_offsets'
+    Each block is a run of up to _BLOCK consecutive triples of one row i,
+    in lexicographic order. Its edges are gathered with _three_opt_offsets'
     table from a copy of the matrix permuted into tour order,
     P[r, c] = d[order[r], order[c]], followed by P's rows i and i+1, column
     i+1 and P[i, i+1], and added up term for term as _three_opt_deltas adds
-    them, so the deltas are the same floats. Blocks double in size, up to
-    _MAX_BLOCK; the scan stops at the first block that holds an improving
-    triple."""
+    them, so the deltas are the same floats. The scan stops at the first
+    block that holds an improving triple."""
     n = m.n
     offsets, j_idx, k_idx = _three_opt_offsets(n)
     tour = np.array(order, dtype=np.intp)
@@ -410,17 +400,13 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
     src = np.empty(n2 + 3 * n + 1)
     tour_d = src[:n2].reshape(n, n)
     tour_d[:] = m.d[tour[:, None], tour]
-    size = _FIRST_BLOCK
     start = 0  # row i's first pair: the first with j = i + 1
     for i in range(n - 2):
         src[n2:n2 + 2 * n] = src[i * n:(i + 2) * n]  # rows i and i + 1
         src[n2 + 2 * n:n2 + 3 * n] = tour_d[:, i + 1]
         src[-1] = tour_d[i, i + 1]
-        lo = start
-        start += n - 2 - i
-        while lo < len(j_idx):
-            hi = lo + size
-            edges = src.take(offsets[:, :, lo:hi])
+        for lo in range(start, len(j_idx), _BLOCK):
+            edges = src.take(offsets[:, :, lo:lo + _BLOCK])
             sums = edges[:, 0] + edges[:, 1]
             sums += edges[:, 2]
             deltas = sums[1:]
@@ -429,37 +415,31 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
                 improving = deltas < -IMPROVEMENT_EPS
                 t = int(improving.any(axis=0).argmax())
                 return i, int(j_idx[lo + t]), int(k_idx[lo + t]), int(improving[:, t].argmax())
-            lo = hi
-            size = min(2 * size, _MAX_BLOCK)
+        start += n - 2 - i
     return None
 
 
-# From this many cities on, three_opt's scans run in numpy blocks; below it
-# the pure-Python scan is faster, a whole scan there costing less than a few
-# numpy blocks. 12 is the measured crossover from random start tours (from
-# 2-opt optima the blocks already win at 9), see CHANGES.md.
-BLOCK_SCAN_MIN_N = 12
-
-# From this many cities on, three_opt sweeps neighbour lists before its
-# scans; below it the scans alone are faster, the sweeps costing more than
-# the scan time their moves save. 10 is the measured crossover from random
-# start tours (from 2-opt optima, where the sweeps find less, it lies near
-# 26), see CHANGES.md.
-SWEEP_MIN_N = 10
+# From this many cities on, three_opt sweeps neighbour lists and then scans
+# in numpy blocks, and PSO's 3-opt polish block-scans; below it the
+# pure-Python scans run alone, a whole scan there costing less than a few
+# numpy blocks and the sweeps more than the scan time they save. 10 is the
+# measured crossover of three_opt from random start tours, see CHANGES.md.
+SWEEP_AND_BLOCK_MIN_N = 10
 
 
 def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """3-opt local search: the 2-opt sweep, then the Or-opt sweep, then the
     certifying scans.
 
-    From SWEEP_MIN_N cities on, the 2-opt neighbour-list sweep
+    From SWEEP_AND_BLOCK_MIN_N cities on, the 2-opt neighbour-list sweep
     (_neighbor_sweep) and then the Or-opt one (_or_opt_sweep) make most of
     the moves, each for a few delta checks per city, where a scan costs up
     to O(n^3) per move. Every move they make is a 3-opt move. They can miss
     moves, so the first-improvement scans (_three_opt_scans) then try all
     cut triples until none improves: the result is 3-opt locally optimal
-    over all cut triples and reconnections. Below SWEEP_MIN_N the scans
-    run alone: there the sweeps cost more than the scan time they save.
+    over all cut triples and reconnections. Below SWEEP_AND_BLOCK_MIN_N the
+    scans run alone: there the sweeps cost more than the scan time they
+    save.
 
     PSO polishes with the scans alone, as it does with 2-opt's passes: the
     sweeps' moves would change which optimum each polish returns, and so
@@ -470,7 +450,7 @@ def three_opt(t: Tour, m: DistanceMatrix) -> Tour:
     """
     validate_tour(t, m.n)
     tour = [int(c) for c in t]
-    if m.n >= SWEEP_MIN_N:
+    if m.n >= SWEEP_AND_BLOCK_MIN_N:
         tour = _or_opt_sweep(_neighbor_sweep(tour, m), m)
     return _three_opt_scans(tour, m)
 
@@ -481,19 +461,18 @@ def _three_opt_scans(t: Tour, m: DistanceMatrix) -> Tour:
     pure-reversal ones coincide with 2-opt moves); apply the first strict
     improvement and restart the scan. Terminates at 3-opt local optimality.
 
-    From BLOCK_SCAN_MIN_N cities on, each scan computes the deltas of runs
-    of consecutive triples at once with numpy (_first_improving_block),
-    gathered from a copy of the matrix permuted into tour order that is
-    rebuilt for each scan, so after each applied move; the runs start
-    small, for scans that stop early, and grow. Below that size a scan is
-    over before a few numpy calls would be, and it runs in pure Python
-    (_first_improving_move). Both add each delta's terms in the same order
-    and return the same first improving triple and reconnection, so the
-    moves and the result do not depend on which one ran.
+    From SWEEP_AND_BLOCK_MIN_N cities on, each scan computes the deltas of
+    blocks of consecutive triples at once with numpy
+    (_first_improving_block), gathered from a copy of the matrix permuted
+    into tour order that is rebuilt for each scan, so after each applied
+    move. Below that size a scan runs in pure Python (_first_improving_move).
+    Both add each delta's terms in the same order and return the same first
+    improving triple and reconnection, so the moves and the result do not
+    depend on which one ran.
 
     t must be a permutation of 0..m.n-1; three_opt checks it.
     """
-    scan = _first_improving_move if m.n < BLOCK_SCAN_MIN_N else _first_improving_block
+    scan = _first_improving_move if m.n < SWEEP_AND_BLOCK_MIN_N else _first_improving_block
     order = list(t)
     while (move := scan(order, m)) is not None:
         i, j, k, case = move

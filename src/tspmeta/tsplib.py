@@ -199,20 +199,21 @@ def parse_tour_file(text: str, n: int, source_name: str = "<tour>") -> Tour:
     in_section = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.upper().startswith("TOUR_SECTION"):
             in_section = True
             continue
         if not in_section:
             continue
-        if line == "-1" or line.upper() == "EOF":
-            break
         for token in line.split():
+            if token == "-1" or token.upper() == "EOF":
+                break
             try:
                 ids.append(int(token))
             except ValueError:
                 raise ParseError(f"non-integer tour entry {token!r}", lineno) from None
+        else:
+            continue
+        break  # the terminator, at the end of an ids' line or on its own
     if not ids:
         raise ParseError("no TOUR_SECTION entries found", 0)
     tour = tuple(i - 1 for i in ids)
@@ -228,7 +229,7 @@ def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
     (.tsp/.tsplib use the TSPLIB parser, anything else the CSV parser)."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ParseError(f"{p.name} is not UTF-8 text: {exc}") from None
     if p.suffix.lower() in (".tsp", ".tsplib"):

@@ -384,9 +384,34 @@ class TestArgumentErrors:
         assert main([]) == 2
 
 
+class TestByteOrderMark:
+    # editors on Windows often start a UTF-8 file with U+FEFF
+    def test_csv_instance(self, tmp_path, capsys):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeff0,0\n3,4\n", encoding="utf-8")
+        assert main(["exact", str(p)]) == 0
+        assert "optimal cost: 10.00000" in capsys.readouterr().out
+
+    def test_tsplib_instance_keeps_its_name(self, tmp_path, capsys):
+        p = tmp_path / "bom.tsp"
+        p.write_text("\ufeffNAME: square\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+                     "NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 3 4\n4 0 4\nEOF\n", encoding="utf-8")
+        assert main(["exact", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("instance: square (n=4)") and captured.err == ""
+
+    def test_bench_spec(self, tmp_path, capsys):
+        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc["runs_per_algorithm"] = 1
+        p = tmp_path / "bom.json"
+        p.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        assert main(["bench", str(p)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        src = Path(__file__).resolve().parent.parent / "src"
+        src = Path(tm.__file__).resolve().parent.parent  # the tree under test
         proc = subprocess.run(
             [sys.executable, "-m", "tspmeta", "exact", "--builtin-paper"],
             capture_output=True, text=True,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import tspmeta as tm
 from tspmeta import localsearch
 from tspmeta.instance import cycle_length
-from tspmeta.localsearch import (BLOCK_SCAN_MIN_N, IMPROVEMENT_EPS, NEIGHBORS,
+from tspmeta.localsearch import (IMPROVEMENT_EPS, NEIGHBORS, SWEEP_AND_BLOCK_MIN_N,
                                   _first_improving_block, _first_improving_move,
                                   _neighbor_lists, _neighbor_sweep, _or_opt_sweep,
                                   _three_opt_deltas, _three_opt_offsets, _three_opt_rebuild,
@@ -299,7 +299,7 @@ class TestThreeOpt:
             "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
 
     def test_sweep_then_scans_local_optimum_is_pinned(self):
-        # the same starts as above; from SWEEP_MIN_N cities on, the 2-opt and
+        # the same starts as above; from SWEEP_AND_BLOCK_MIN_N cities on, the 2-opt and
         # Or-opt sweeps' moves come first
         rng = random.Random(2024)
         digest = hashlib.sha256()
@@ -332,7 +332,7 @@ class TestThreeOpt:
 
     def test_local_optimality_certificate_on_the_block_scan(self):
         # the sizes above run the pure-Python sweep; these run the numpy blocks
-        assert BLOCK_SCAN_MIN_N <= 12
+        assert SWEEP_AND_BLOCK_MIN_N <= 12
         rng = random.Random(401)
         for case in range(30):
             m = tm.build_distance_matrix(uniform_or_grid_instance(rng, rng.randint(12, 24),
@@ -345,7 +345,7 @@ class TestThreeOpt:
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 30), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_block_scan_makes_the_pure_python_sweeps_moves(n, grid, polished, seed):
-    # n on both sides of BLOCK_SCAN_MIN_N; the rounded grids tie often, and
+    # n on both sides of SWEEP_AND_BLOCK_MIN_N; the rounded grids tie often, and
     # from 2-opt optima the first improving triple tends to lie deep
     rng = random.Random(seed)
     m = tm.build_distance_matrix(uniform_or_grid_instance(rng, n, grid))
@@ -360,6 +360,28 @@ def test_block_scan_makes_the_pure_python_sweeps_moves(n, grid, polished, seed):
         order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(12, 30), st.booleans(), st.integers(0, 2**32 - 1))
+def test_both_scans_read_each_edge_the_same_way_round(n, small_integers, seed):
+    # on a symmetric matrix d[c, e] and d[e, c] are one value, so only
+    # asymmetric costs show a scan that reads a reconnection's edge the other
+    # way round; on them the deltas are no length changes and a scan loop
+    # need not end, so this stops after four moves
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 5, (n, n)).astype(float) if small_integers else rng.random((n, n))
+    np.fill_diagonal(d, 0.0)
+    d.setflags(write=False)
+    m = tm.DistanceMatrix(n=n, d=d)
+    order = list(tm.random_tour(n, random.Random(seed)))
+    for moves in range(5):
+        move = _first_improving_move(order, m)
+        assert _first_improving_block(order, m) == move
+        if move is None or moves == 4:
+            break
+        i, j, k, case = move
+        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+
+
 def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
     m = tm.build_distance_matrix(berlin52)
     rng = random.Random(53)
@@ -368,8 +390,7 @@ def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
         assert in_time(_three_opt_scans, start, m) == reference_three_opt(start, m)
 
 
-# no shrinking, as for 2-opt above; n on both sides of SWEEP_MIN_N and
-# BLOCK_SCAN_MIN_N
+# no shrinking, as for 2-opt above; n on both sides of SWEEP_AND_BLOCK_MIN_N
 @settings(max_examples=100, deadline=None, phases=(Phase.generate,))
 @given(st.integers(3, 16), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_three_opt_returns_a_shorter_or_equal_three_opt_optimum(n, grid, polished, seed):
@@ -489,7 +510,7 @@ def test_two_opt_rejects_a_tour_too_long_without_hanging():
             "except tm.InvalidTourError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('two_opt accepted the tour')\n")
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = Path(tm.__file__).resolve().parent.parent  # the tree under test
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr

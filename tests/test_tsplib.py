@@ -198,6 +198,11 @@ class TestParseTourFile:
         with pytest.raises(tm.ParseError):
             tm.parse_tour_file(text, 2)
 
+    @pytest.mark.parametrize("section", [
+        "1 2 3 4 5 -1\nEOF\n", "1 2 3\n4 5 -1\n", "1 2 3 4 5 EOF\n", "1\n2\n3\n4\n5\n-1\nEOF\n"])
+    def test_the_terminator_ends_the_ids_wherever_it_falls(self, section):
+        assert tm.parse_tour_file("TOUR_SECTION\n" + section, 5) == (0, 1, 2, 3, 4)
+
 
 class TestParsingIsTotal:
     @settings(max_examples=200)
