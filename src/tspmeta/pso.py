@@ -20,7 +20,11 @@ Stream discipline (one shared random.Random per run): initialization
 shuffles tours for particles 0..n-1 in order; each step then consumes, per
 particle in index order, exactly two uniforms per term (magnitude draw,
 fractional-acceptance draw) for inertia, cognitive, and social terms, in
-that order. Every recorded cost comes from the canonical sequential
+that order. A particle at rest on the running gbest (empty velocity,
+position equal to pbest and gbest) still draws those six uniforms but skips
+the move and its evaluation, outside two-opt-all: its terms are empty, and
+its pbest_cost is always cycle_length of its pbest, so nothing it would
+compute can differ. Every recorded cost comes from the canonical sequential
 summation, so identical seeds give bit-identical results. run hands the
 swarm to instance.run_search, which records the gbest cost at the start and
 once per step as the cost history.
@@ -217,6 +221,13 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
     strict-improvement pbest and gbest updates (later particles see gbest
     updates from earlier ones in the same step).
 
+    A particle at rest, with an empty velocity and its position equal to its
+    pbest and to the running gbest, is kept as it is at the cost of its six
+    draws, unless the mode is two-opt-all (whose 2-opt could still move it):
+    its three terms are empty, so the move would rebuild the same particle,
+    and its cost is its pbest_cost, which init_state and step always store
+    as cycle_length of that very tuple.
+
     The gbest-scoped modes then polish one tour, the lead: the cheapest new
     position that is not the step's starting gbest, lowest index on ties. A
     polish that changes the lead is re-evaluated and folded into that
@@ -234,8 +245,16 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
             gbest, gbest_cost = pbest, pbest_cost
         return Particle(position, velocity, pbest, pbest_cost)
 
+    may_rest = cfg.local_search is not LocalSearch.TWO_OPT_ALL
     particles, costs = [], []
     for p in state.particles:
+        if may_rest and not p.velocity and p.position == p.pbest == gbest:
+            # at rest: three empty terms, so only their draws are spent
+            for _ in range(6):
+                rng.random()
+            costs.append(p.pbest_cost)
+            particles.append(p)
+            continue
         velocity, position = _move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
         if cfg.local_search is LocalSearch.TWO_OPT_ALL:
             position = _two_opt_passes(position, m)

@@ -8,6 +8,7 @@ edges as lines, and the tour length in a caption.
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
 
 from .instance import Instance, Tour, build_distance_matrix, tour_length
@@ -27,9 +28,11 @@ def _scaled_positions(instance: Instance) -> list[tuple[float, float]]:
     span_y = max(ys) - min(ys)
     avail_w = WIDTH - 2 * MARGIN
     avail_h = HEIGHT - 2 * MARGIN
-    scales = [avail_w / span_x if span_x > 0 else None,
-              avail_h / span_y if span_y > 0 else None]
-    finite = [s for s in scales if s is not None]
+    # a span too small to divide by (zero, or one whose scale overflows to
+    # inf) limits nothing, so its cities are centred on that axis
+    scales = [avail_w / span_x if span_x > 0 else math.inf,
+              avail_h / span_y if span_y > 0 else math.inf]
+    finite = [s for s in scales if math.isfinite(s)]
     scale = min(finite) if finite else 1.0
     off_x = MARGIN + (avail_w - span_x * scale) / 2
     off_y = MARGIN + (avail_h - span_y * scale) / 2

@@ -334,6 +334,13 @@ class TestPlot:
         assert len(root.findall(f"{ns}circle")) == 1
         assert len(root.findall(f"{ns}line")) == 0
 
+    def test_cities_too_close_to_scale_are_plotted(self, tmp_path, capsys):
+        src = tmp_path / "tiny.csv"
+        src.write_text("0,0\n1e-320,0\n")
+        out = tmp_path / "tiny.svg"
+        assert main(["plot", str(src), "--tour", "1,2", "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+
     def test_malformed_tour_exits_2(self, tmp_path, capsys):
         assert main(["plot", "--builtin-paper", "--tour", "1,2,bananas",
                      "--out", str(tmp_path / "x.svg")]) == 2

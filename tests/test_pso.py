@@ -3,12 +3,15 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
 from tspmeta.errors import MAX_POPULATION
-from tspmeta.pso import _inertia_now, _move, init_state
+from tspmeta.instance import cycle_length
+from tspmeta.localsearch import _two_opt_passes
+from tspmeta.pso import (_LEAD_POLISH, LocalSearch, Particle, SwarmState, _inertia_now,
+                         _move, init_state)
 from conftest import random_instance
 
 FIVE_CITY_OPT_COST = 15.15298244508295
@@ -49,6 +52,83 @@ def reference_move(p, gbest, w_now, c1, c2, rng):
     social = tm.stochastic_scale(reference_swap_difference(p.position, gbest), c2, rng)
     velocity = (inertia + cognitive + social)[:2 * n]
     return velocity, tm.apply_swaps(p.position, velocity)
+
+
+def reference_step(state, cfg, m, rng):
+    """step as it was before particles at rest on gbest skipped their move:
+    every particle moves and is evaluated. step must equal it exactly, stream
+    state included."""
+    rows = m.rows()
+    w_now = _inertia_now(cfg, state.iteration)
+    gbest, gbest_cost = state.gbest, state.gbest_cost
+
+    def visit(p: Particle, position, velocity, cost: float) -> Particle:
+        nonlocal gbest, gbest_cost
+        pbest, pbest_cost = (position, cost) if cost < p.pbest_cost else (p.pbest, p.pbest_cost)
+        if pbest_cost < gbest_cost:
+            gbest, gbest_cost = pbest, pbest_cost
+        return Particle(position, velocity, pbest, pbest_cost)
+
+    particles, costs = [], []
+    for p in state.particles:
+        velocity, position = _move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
+        if cfg.local_search is LocalSearch.TWO_OPT_ALL:
+            position = _two_opt_passes(position, m)
+        costs.append(cycle_length(position, rows))
+        particles.append(visit(p, position, velocity, costs[-1]))
+    evaluations = state.evaluations + len(particles)
+
+    polish = _LEAD_POLISH.get(cfg.local_search)
+    if polish is not None:
+        lead = min((i for i, p in enumerate(particles) if p.position != state.gbest),
+                   key=costs.__getitem__, default=None)
+        if lead is not None:
+            p = particles[lead]
+            polished = polish(p.position, m)
+            if polished != p.position:
+                evaluations += 1
+                particles[lead] = visit(p, polished, p.velocity, cycle_length(polished, rows))
+
+    return SwarmState(tuple(particles), gbest, gbest_cost, state.iteration + 1, evaluations)
+
+
+def collapsed_swarm(inst, m, n_particles, rng):
+    """A hand-built swarm around a random gbest g: each particle at rest on
+    g, just arrived on g with a velocity, drawn towards g as its pbest, or
+    anywhere. Every stored cost is cycle_length of its tour, as in a run."""
+    n, rows = inst.n, m.rows()
+    g = tm.random_tour(n, rng)
+    particles = []
+    for _ in range(n_particles):
+        kind = rng.choice(["rest", "rest", "arrived", "pbest-on-g", "anywhere"])
+        velocity = tuple((rng.randrange(n), rng.randrange(n))
+                         for _ in range(rng.randint(1, 2 * n)))
+        position = g if kind in ("rest", "arrived") else tm.random_tour(n, rng)
+        pbest = position if kind in ("rest", "arrived", "anywhere") else g
+        particles.append(Particle(position, () if kind == "rest" else velocity,
+                                  pbest, cycle_length(pbest, rows)))
+    return SwarmState(tuple(particles), g, cycle_length(g, rows), rng.randrange(5),
+                      rng.randrange(100))
+
+
+def coefficients(top):
+    return st.one_of(st.just(0.0), st.floats(0.0, top))
+
+
+@st.composite
+def step_cases(draw):
+    """(n, cfg, start, seed, steps) over every mode, with and without
+    the inertia decay, coefficients sometimes 0: a swarm from init_state or a
+    hand-built collapsed one, then `steps` further steps."""
+    n = draw(st.integers(1, 30))
+    w = draw(coefficients(1.0))
+    cfg = tm.SwarmConfig(n_particles=draw(st.integers(1, 6)), max_iter=draw(st.integers(1, 40)),
+                         w=w, c1=draw(coefficients(2.5)), c2=draw(coefficients(2.5)),
+                         w_end=draw(st.one_of(st.none(), st.floats(0.0, w))),
+                         local_search=draw(st.sampled_from(list(LocalSearch))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (n, cfg, draw(st.sampled_from(["init", "collapsed"])), seed,
+            draw(st.integers(0, 40)))
 
 
 @st.composite
@@ -285,6 +365,48 @@ class TestStep:
             assert state.gbest_cost == min(p.pbest_cost for p in state.particles)
             for p in state.particles:
                 assert p.pbest_cost == tm.tour_length(p.pbest, m)
+
+
+class TestRestingParticles:
+    @settings(max_examples=150)
+    @given(step_cases())
+    def test_step_equals_the_reference_step(self, case):
+        n, cfg, start, seed, steps = case
+        rng = random.Random(seed)
+        inst = random_instance(rng, n)
+        m = tm.build_distance_matrix(inst)
+        if start == "init":
+            state = init_state(inst, cfg, m, rng)
+        else:
+            state = collapsed_swarm(inst, m, cfg.n_particles, rng)
+        for _ in range(steps + 1):
+            theirs = random.Random()
+            theirs.setstate(rng.getstate())
+            expected = reference_step(state, cfg, m, theirs)
+            state = tm.pso_step(state, cfg, m, rng)
+            assert state == expected
+            assert rng.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("mode", [mode for mode in LocalSearch
+                                      if mode is not LocalSearch.TWO_OPT_ALL])
+    @pytest.mark.parametrize("n_particles", [1, 7, 30])
+    def test_a_collapsed_swarm_spends_only_six_draws_per_particle(self, mode, n_particles):
+        rng = random.Random(61)
+        inst = random_instance(rng, 9)
+        m = tm.build_distance_matrix(inst)
+        g = tm.random_tour(inst.n, rng)
+        cost = tm.tour_length(g, m)
+        state = SwarmState(tuple(Particle(g, (), g, cost) for _ in range(n_particles)),
+                           g, cost, 3, 100)
+        cfg = tm.SwarmConfig(n_particles=n_particles, local_search=mode)
+        expected = random.Random(7)
+        for _ in range(6 * n_particles):
+            expected.random()
+        ours = random.Random(7)
+        after = tm.pso_step(state, cfg, m, ours)
+        assert ours.getstate() == expected.getstate()
+        assert after == SwarmState(state.particles, g, cost, 4, 100 + n_particles)
+        assert all(a is b for a, b in zip(after.particles, state.particles))
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -59,6 +60,20 @@ class TestRenderTourSvg:
         for c in root.findall(f"{SVG_NS}circle"):
             assert 40 - 1e-9 <= float(c.get("cx")) <= 760 + 1e-9
             assert 40 - 1e-9 <= float(c.get("cy")) <= 560 + 1e-9
+
+    def test_a_span_too_small_to_scale_is_drawn_centred(self):
+        # 720 / 1e-320 overflows to inf, and (x - min) * inf is nan at x = min
+        inst = tm.Instance.from_coords("tiny", [(0.0, 0.0), (1e-320, 0.0)])
+        root = parse_svg(tm.render_tour_svg(inst, (0, 1)))
+        for element in root.iter():
+            for name, value in element.attrib.items():
+                try:
+                    number = float(value)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (element.tag, name, value)
+                limit = 600 if name in {"y", "y1", "y2", "cy", "height"} else 800
+                assert 0 <= number <= limit, (element.tag, name, value)
 
     def test_instance_name_is_escaped(self):
         inst = tm.Instance.from_coords("a<b&c", [(0, 0), (1, 1)])
