@@ -14,7 +14,6 @@ import os
 import statistics
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -214,6 +213,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialRecord]:
 
     records = None
     if workers > 1:
+        # imported here, as it loads multiprocessing and socket, which a
+        # sequential run never needs
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(run_trial, instance, e, s, i) for e, s, i in jobs]

@@ -59,8 +59,15 @@ def _neighbor_lists(m: DistanceMatrix) -> list[list[int]]:
     cached = getattr(m, "_neighbors", None)
     if cached is None:
         d = m.d.copy()
-        np.fill_diagonal(d, np.inf)  # each city sorts after every other
-        cached = np.argsort(d, axis=1, kind="stable")[:, :min(NEIGHBORS, m.n - 1)].tolist()
+        np.fill_diagonal(d, np.inf)  # each city comes after every other
+        rows = np.arange(m.n)
+        picks = np.empty((m.n, min(NEIGHBORS, m.n - 1)), dtype=np.intp)
+        # argmin takes the first of equal minima, so ties go by city id, and
+        # m.d is finite, so a pick set to inf is never picked again
+        for k in range(picks.shape[1]):
+            picks[:, k] = nearest = d.argmin(axis=1)
+            d[rows, nearest] = np.inf
+        cached = picks.tolist()
         object.__setattr__(m, "_neighbors", cached)
     return cached
 
@@ -265,7 +272,7 @@ def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
     ac, be, ab, edge, j_idx = _tour_offsets(n)
 
     order = np.array(t, dtype=np.intp)
-    tour_d = m.d[order[:, None], order]
+    tour_d = m.d.take(order, 0).take(order, 1)
     flat = tour_d.reshape(-1)
     while True:
         leaving = flat.take(edge)  # P[k, k+1]: each reversal's edge (j, j+1) is leaving[j]
@@ -399,7 +406,7 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
     n2 = n * n
     src = np.empty(n2 + 3 * n + 1)
     tour_d = src[:n2].reshape(n, n)
-    tour_d[:] = m.d[tour[:, None], tour]
+    tour_d[:] = m.d.take(tour, 0).take(tour, 1)
     start = 0  # row i's first pair: the first with j = i + 1
     for i in range(n - 2):
         src[n2:n2 + 2 * n] = src[i * n:(i + 2) * n]  # rows i and i + 1

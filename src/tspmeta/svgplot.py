@@ -9,7 +9,7 @@ edges as lines, and the tour length in a caption.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+import re
 
 from .instance import Instance, Tour, build_distance_matrix, tour_length
 
@@ -17,6 +17,17 @@ WIDTH = 800
 HEIGHT = 600
 MARGIN = 40
 CITY_RADIUS = 14
+
+# characters outside XML 1.0's Char production: C0 controls other than tab,
+# LF and CR, lone surrogates, and U+FFFE/U+FFFF
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data: '&', '<' and '>' as xml.sax.saxutils.escape
+    writes them, and each character that XML cannot hold as U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML_CHAR.sub("\ufffd", text)
 
 
 def _scaled_positions(instance: Instance) -> list[tuple[float, float]]:
@@ -67,7 +78,7 @@ def render_tour_svg(instance: Instance, tour: Tour) -> str:
         parts.append(
             f'<text x="{x:.2f}" y="{y + 4.5:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{city.id + 1}</text>')
-    caption = f"{escape(instance.name)}: tour length {cost:.5f}"
+    caption = f"{_escape(instance.name)}: tour length {cost:.5f}"
     parts.append(
         f'<text x="{MARGIN}" y="{HEIGHT - 12}" font-family="sans-serif" '
         f'font-size="16">{caption}</text>')

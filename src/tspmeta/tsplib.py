@@ -5,6 +5,8 @@ CSV, TOUR files, and the built-in instances packaged with the toolkit.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -228,13 +230,16 @@ def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
     """Load an instance from disk, dispatching on the file extension
     (.tsp/.tsplib use the TSPLIB parser, anything else the CSV parser)."""
     p = Path(path)
+    # a file name's bytes that do not decode are held as lone surrogates,
+    # which no UTF-8 output can encode; they become U+FFFD in the names
+    source_name = os.fsencode(p.name).decode(sys.getfilesystemencoding(), errors="replace")
     try:
         text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{p.name} is not UTF-8 text: {exc}") from None
+        raise ParseError(f"{source_name} is not UTF-8 text: {exc}") from None
     if p.suffix.lower() in (".tsp", ".tsplib"):
-        return parse_tsplib(text, source_name=p.name)
-    return parse_coords_csv(text, name=p.stem, source_name=p.name)
+        return parse_tsplib(text, source_name=source_name)
+    return parse_coords_csv(text, name=Path(source_name).stem, source_name=source_name)
 
 
 def packaged_instance(name: str) -> Instance:

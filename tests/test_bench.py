@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from concurrent.futures import Future
 from dataclasses import replace
@@ -57,7 +58,7 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return seen
 
 
@@ -129,7 +130,7 @@ class TestRunExperiment:
         def no_pool(max_workers):
             raise OSError("no semaphores")
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
         with pytest.warns(UserWarning, match="process pool unavailable"):
             fallback = tm.run_experiment(small_pso_spec(), threads=2)

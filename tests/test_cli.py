@@ -1,5 +1,7 @@
 import argparse
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -263,7 +265,7 @@ class TestBench:
             raise AssertionError("bench without --threads started a pool")
 
         monkeypatch.setenv("TSPMETA_BENCH_THREADS", "abc")
-        monkeypatch.setattr(tm.bench, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert main(["bench", str(BUNDLED_SPEC)]) == 0
         assert capsys.readouterr().err == ""
 
@@ -361,6 +363,16 @@ class TestPlot:
                          "--out", str(p)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_name_xml_cannot_hold_is_captioned_with_a_replacement_character(self, tmp_path, capsys):
+        src = tmp_path / "bad.tsp"
+        src.write_text(tsplib_text([(0, 0), (3, 0), (3, 3), (0, 3)], name="bad\x01name"),
+                       encoding="utf-8")
+        out = tmp_path / "bad.svg"
+        assert main(["plot", str(src), "--tour", "1,2,3,4", "--out", str(out)]) == 0
+        root = ET.fromstring(out.read_text(encoding="utf-8"))
+        caption = root.findall("{http://www.w3.org/2000/svg}text")[-1].text
+        assert caption == "bad\ufffdname: tour length 12.00000"
+
 
 class TestSolveFlags:
     def test_one_flag_per_config_field(self):
@@ -414,6 +426,61 @@ class TestByteOrderMark:
         p.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
         assert main(["bench", str(p)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestFileNameNotUtf8:
+    # Linux file names are bytes; os.fsdecode keeps the ones that are not
+    # UTF-8 as lone surrogates, which no UTF-8 output can encode
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / os.fsdecode(b"bad\xffname.csv")
+        try:
+            path.write_text("0,0\n3,0\n3,4\n", encoding="utf-8")
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("this file system refuses file names that are not UTF-8")
+        return str(path)
+
+    def test_plot(self, src, tmp_path, capsys):
+        out = tmp_path / "out.svg"
+        assert main(["plot", src, "--tour", "1,2,3", "--out", str(out)]) == 0
+        root = ET.fromstring(out.read_bytes().decode("utf-8"))
+        caption = root.findall("{http://www.w3.org/2000/svg}text")[-1].text
+        assert caption == "bad\ufffdname: tour length 12.00000"
+
+    def test_convert_to_tsplib(self, src, tmp_path, capsys):
+        out = tmp_path / "out.tsp"
+        assert main(["convert", src, "--to", "tsplib", "--out", str(out)]) == 0
+        assert out.read_bytes().decode("utf-8").startswith("NAME: bad\ufffdname\n")
+
+    def test_solve_json(self, src, capsys):
+        assert main(["solve", src, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["instance"] == "bad\ufffdname"
+
+    def test_tsplib_file_without_a_name_is_named_after_it(self, src, tmp_path, capsys):
+        # src only for its skip where such names are refused
+        path = tmp_path / os.fsdecode(b"bad\xffname.tsp")
+        path.write_text(tsplib_text([(0, 0), (3, 0), (3, 4)]).replace("NAME: t\n", ""),
+                        encoding="utf-8")
+        assert main(["solve", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["instance"] == "bad\ufffdname.tsp"
+
+
+class TestImportFootprint:
+    # these are loaded by xml.sax.saxutils and by concurrent.futures'
+    # process pool, and no tspmeta run but a multi-worker bench needs them
+    UNUSED = ("ssl", "socket", "http.client", "email", "urllib.request", "xml.sax",
+              "multiprocessing", "concurrent.futures.process")
+
+    def test_import_tspmeta_loads_no_network_xml_or_process_modules(self):
+        src = Path(tm.__file__).resolve().parent.parent  # the tree under test
+        code = ("import sys, numpy; before = set(sys.modules); import tspmeta; "
+                "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin"})
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "tspmeta" in added
+        assert sorted(added.intersection(self.UNUSED)) == []
 
 
 class TestModuleEntryPoint:

@@ -1,7 +1,10 @@
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tspmeta as tm
 
@@ -79,3 +82,23 @@ class TestRenderTourSvg:
         inst = tm.Instance.from_coords("a<b&c", [(0, 0), (1, 1)])
         svg = tm.render_tour_svg(inst, (0, 1))
         parse_svg(svg)  # must stay well-formed XML
+
+
+# text that XML holds as it is: no lone surrogates, no U+FFFE or U+FFFF,
+# and no control characters (a parser reads CR as LF; the test below has tab)
+printable = st.text(st.characters(exclude_categories=("Cc", "Cs"),
+                                  exclude_characters="\ufffe\uffff"))
+
+
+@given(printable)
+def test_caption_escapes_printable_names_as_saxutils_does(name):
+    inst = tm.Instance.from_coords(name, [(0, 0), (3, 4)])
+    svg = tm.render_tour_svg(inst, (0, 1))
+    assert f'font-size="16">{escape(name)}: tour length 10.00000</text>' in svg
+    assert parse_svg(svg).findall(f"{SVG_NS}text")[-1].text == f"{name}: tour length 10.00000"
+
+
+def test_characters_xml_cannot_hold_become_replacement_characters():
+    inst = tm.Instance.from_coords("\x00a\x01\tb\x0b\x1f\ud800c\udcff\ufffe\uffff&", [(0, 0), (3, 4)])
+    caption = parse_svg(tm.render_tour_svg(inst, (0, 1))).findall(f"{SVG_NS}text")[-1].text
+    assert caption == "\ufffda\ufffd\tb\ufffd\ufffd\ufffdc\ufffd\ufffd\ufffd&: tour length 10.00000"
