@@ -39,13 +39,13 @@ SOLVERS = {
     "ga": Solver(GaConfig, run_ga),
     "sa": Solver(SaConfig, run_sa),
 }
+_RUN_BY_CONFIG = {s.config_class: s.run for s in SOLVERS.values()}
 
 
 @dataclass(frozen=True)
 class AlgorithmEntry:
     name: str
-    kind: str  # pso | ga | sa
-    config: SwarmConfig | GaConfig | SaConfig
+    config: SwarmConfig | GaConfig | SaConfig  # its class picks the solver
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,9 @@ class ExperimentSpec:
                     or "," in a.name or '"' in a.name:
                 raise ConfigError("algorithm names must be non-empty text without ',', "
                                   f"'\"' or line breaks, got {a.name!r}")
-            if a.kind not in SOLVERS:
-                raise ConfigError(f"unknown algorithm kind {a.kind!r}")
-            if not isinstance(a.config, SOLVERS[a.kind].config_class):
-                raise ConfigError(f"algorithm {a.name!r} of kind {a.kind!r} has a "
-                                  f"{type(a.config).__name__}")
+            if type(a.config) not in _RUN_BY_CONFIG:
+                raise ConfigError(f"algorithm {a.name!r} has a {type(a.config).__name__}, "
+                                  "not a solver config")
         if self.reference_cost is not None and self.reference_cost <= 0:
             raise ConfigError(f"reference_cost must be > 0, got {self.reference_cost!r}")
 
@@ -149,7 +147,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         if not isinstance(item, dict) or not {"name", "kind"} <= set(item):
             raise ConfigError("each algorithm needs 'name' and 'kind'")
         config = build_algorithm_config(item["kind"], item.get("params", {}))
-        entries.append(AlgorithmEntry(item["name"], item["kind"], config))
+        entries.append(AlgorithmEntry(item["name"], config))
     return ExperimentSpec(
         instance_source=doc["instance"],
         algorithms=tuple(entries),
@@ -178,7 +176,7 @@ def resolve_instance(source: str) -> Instance:
 def run_trial(instance: Instance, entry: AlgorithmEntry, seed: int, run_index: int) -> TrialRecord:
     """One solver call: entry's config with this seed, as a record. Every
     solver run of `solve`, `bench` and `plot --solve-first` goes through here."""
-    result = SOLVERS[entry.kind].run(instance, replace(entry.config, seed=seed))
+    result = _RUN_BY_CONFIG[type(entry.config)](instance, replace(entry.config, seed=seed))
     return TrialRecord(
         algorithm=entry.name,
         run_index=run_index,

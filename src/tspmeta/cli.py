@@ -54,7 +54,7 @@ _FLAGS = {"n_particles": "--particles", "max_iter": "--iterations"}  # others: -
 
 def _solve(instance: Instance, algo: str, seed: int, params: dict) -> bench_mod.TrialRecord:
     config = bench_mod.build_algorithm_config(algo, params)
-    return bench_mod.run_trial(instance, bench_mod.AlgorithmEntry(algo, algo, config), seed, 0)
+    return bench_mod.run_trial(instance, bench_mod.AlgorithmEntry(algo, config), seed, 0)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -33,7 +33,6 @@ class Metric(Enum):
 
 @dataclass(frozen=True)
 class City:
-    id: int
     x: float
     y: float
 
@@ -49,8 +48,6 @@ class Instance:
         if len(self.cities) < 1:
             raise ValueError("an instance needs at least one city")
         for i, c in enumerate(self.cities):
-            if c.id != i:
-                raise ValueError(f"city ids must be exactly 0..n-1 in order; got id {c.id} at position {i}")
             if not (math.isfinite(c.x) and math.isfinite(c.y)):
                 raise ValueError(f"city {i + 1} has non-finite coordinates")
         # Python floats overflow to inf just as build_distance_matrix's numpy
@@ -73,14 +70,17 @@ class Instance:
     @classmethod
     def from_coords(cls, name: str, coords: list[tuple[float, float]],
                     metric: Metric = Metric.EUCLIDEAN_EXACT) -> "Instance":
-        cities = tuple(City(i, float(x), float(y)) for i, (x, y) in enumerate(coords))
+        cities = tuple(City(float(x), float(y)) for x, y in coords)
         return cls(name=name, cities=cities, metric=metric)
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    n: int
     d: np.ndarray  # (n, n) float64, read-only: symmetric, zero diagonal, finite, >= 0
+
+    @property
+    def n(self) -> int:
+        return len(self.d)
 
     def rows(self) -> list[list[float]]:
         """Plain nested lists of the same float64 values, for tight loops."""
@@ -103,7 +103,7 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     if instance.metric is Metric.EUCLIDEAN_ROUNDED:
         d = np.floor(d + 0.5)
     d.setflags(write=False)  # a kernel that writes into it by mistake raises
-    return DistanceMatrix(n=instance.n, d=d)
+    return DistanceMatrix(d)
 
 
 def cycle_length(order, rows) -> float:
@@ -237,19 +237,22 @@ def random_tour(n: int, rng: random.Random) -> Tour:
 class RunResult:
     best_tour: Tour
     best_cost: float
-    iterations_run: int
     cost_history: tuple[float, ...]
     evaluations: int
     wall_time: float
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.cost_history) - 1
 
 
 def run_search(instance: Instance, cfg: Any,
                search: Callable[..., Iterator[tuple[Tour, float, int]]]) -> RunResult:
     """The one run of every metaheuristic: search(instance, cfg, matrix,
     random.Random(cfg.seed)) yields (best tour, best cost, evaluations) at its
-    start and once per iteration; the costs are the history, so iterations_run
-    is its length minus one. The last best tour is canonicalized, re-scored
-    with the sequential sum and returned with the run's wall time."""
+    start and once per iteration; the costs are the history. The last best
+    tour is canonicalized, re-scored with the sequential sum and returned with
+    the run's wall time."""
     start = time.perf_counter()
     rng = random.Random(cfg.seed)
     m = build_distance_matrix(instance)
@@ -257,5 +260,5 @@ def run_search(instance: Instance, cfg: Any,
     for best, cost, evaluations in search(instance, cfg, m, rng):
         history.append(cost)
     best_tour = canonicalize(best)
-    return RunResult(best_tour, tour_length(best_tour, m), len(history) - 1, tuple(history),
+    return RunResult(best_tour, tour_length(best_tour, m), tuple(history),
                      evaluations, time.perf_counter() - start)

@@ -71,13 +71,13 @@ def render_tour_svg(instance: Instance, tour: Tour) -> str:
             parts.append(
                 f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                 f'stroke="black" stroke-width="2"/>')
-    for city, (x, y) in zip(instance.cities, pos):
+    for i, (x, y) in enumerate(pos):
         parts.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{CITY_RADIUS}" '
             f'fill="#cfe2ff" stroke="black" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{x:.2f}" y="{y + 4.5:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{city.id + 1}</text>')
+            f'font-family="sans-serif" font-size="13">{i + 1}</text>')
     caption = f"{_escape(instance.name)}: tour length {cost:.5f}"
     parts.append(
         f'<text x="{MARGIN}" y="{HEIGHT - 12}" font-family="sans-serif" '

@@ -166,8 +166,14 @@ def parse_coords_csv(text: str, name: str = "coords",
         raise ParseError(str(exc), 0) from None
 
 
+def _one_line(name: str) -> str:
+    """name with each line break that str.splitlines knows made a space, so
+    that a writer's name line reads back as one line."""
+    return " ".join(name.splitlines())
+
+
 def write_coords_csv(instance: Instance) -> str:
-    lines = [f"# {instance.name}"]
+    lines = [f"# {_one_line(instance.name)}"]
     lines.extend(f"{c.x!r},{c.y!r}" for c in instance.cities)
     return "\n".join(lines) + "\n"
 
@@ -179,13 +185,13 @@ def write_tsplib(instance: Instance) -> str:
     exact-metric instance changes metric on the way out.
     """
     lines = [
-        f"NAME: {instance.name}",
+        f"NAME: {_one_line(instance.name)}",
         "TYPE: TSP",
         f"DIMENSION: {instance.n}",
         "EDGE_WEIGHT_TYPE: EUC_2D",
         "NODE_COORD_SECTION",
     ]
-    lines.extend(f"{c.id + 1} {c.x!r} {c.y!r}" for c in instance.cities)
+    lines.extend(f"{i} {c.x!r} {c.y!r}" for i, c in enumerate(instance.cities, 1))
     lines.append("EOF")
     return "\n".join(lines) + "\n"
 
@@ -230,13 +236,15 @@ def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
     """Load an instance from disk, dispatching on the file extension
     (.tsp/.tsplib use the TSPLIB parser, anything else the CSV parser)."""
     p = Path(path)
-    # a file name's bytes that do not decode are held as lone surrogates,
-    # which no UTF-8 output can encode; they become U+FFFD in the names
-    source_name = os.fsencode(p.name).decode(sys.getfilesystemencoding(), errors="replace")
     try:
+        # a file name's bytes that do not decode are held as lone surrogates,
+        # which no UTF-8 output can encode; they become U+FFFD in the names
+        source_name = os.fsencode(p.name).decode(sys.getfilesystemencoding(), errors="replace")
         text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source_name} is not UTF-8 text: {exc}") from None
+    except (UnicodeEncodeError, ValueError) as exc:  # a surrogate no byte stands for, a null byte
+        raise ParseError(f"no file can have the path {str(path)!r}: {exc}") from None
     if p.suffix.lower() in (".tsp", ".tsplib"):
         return parse_tsplib(text, source_name=source_name)
     return parse_coords_csv(text, name=Path(source_name).stem, source_name=source_name)

@@ -26,8 +26,7 @@ def write_spec(tmp_path, doc) -> Path:
 
 def small_pso_spec(runs=3, base_seed=0, reference=None):
     entry = tm.AlgorithmEntry(
-        name="pso", kind="pso",
-        config=tm.SwarmConfig(n_particles=10, max_iter=15))
+        name="pso", config=tm.SwarmConfig(n_particles=10, max_iter=15))
     return tm.ExperimentSpec(
         instance_source=BUILTIN_INSTANCE_MARKER,
         algorithms=(entry,),
@@ -99,8 +98,8 @@ class TestRunExperiment:
 
     def test_multi_algorithm_isolation(self):
         # adding a second algorithm must not disturb the first one's records
-        pso = tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig(n_particles=8, max_iter=10))
-        sa = tm.AlgorithmEntry("sa", "sa", tm.SaConfig(iters_per_temp=20, min_temp=0.05))
+        pso = tm.AlgorithmEntry("pso", tm.SwarmConfig(n_particles=8, max_iter=10))
+        sa = tm.AlgorithmEntry("sa", tm.SaConfig(iters_per_temp=20, min_temp=0.05))
         solo = tm.run_experiment(tm.ExperimentSpec(
             BUILTIN_INSTANCE_MARKER, (pso,), 2, 0))
         both = tm.run_experiment(tm.ExperimentSpec(
@@ -141,7 +140,7 @@ class TestRunExperiment:
     def test_missing_instance_file_propagates(self):
         spec = tm.ExperimentSpec(
             "does-not-exist.csv",
-            (tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig()),), 1, 0)
+            (tm.AlgorithmEntry("pso", tm.SwarmConfig()),), 1, 0)
         with pytest.raises(OSError):
             tm.run_experiment(spec)
 
@@ -152,7 +151,7 @@ class TestExperimentSpecValidation:
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (), 1, 0)
 
     def test_zero_runs(self):
-        entry = tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig())
+        entry = tm.AlgorithmEntry("pso", tm.SwarmConfig())
         with pytest.raises(tm.ConfigError):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 0, 0)
 
@@ -160,33 +159,29 @@ class TestExperimentSpecValidation:
         (2.5, 0, None), (True, 0, None), (1, "0", None), (1, 0, "7542"), (1, 0, float("inf"))],
         ids=["runs-2.5", "runs-True", "base_seed-str", "reference-str", "reference-inf"])
     def test_mistyped_fields(self, runs, base_seed, reference):
-        entry = tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig())
+        entry = tm.AlgorithmEntry("pso", tm.SwarmConfig())
         with pytest.raises(tm.ConfigError):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), runs, base_seed, reference)
 
     def test_instance_source_must_be_text(self):
-        entry = tm.AlgorithmEntry("pso", "pso", tm.SwarmConfig())
+        entry = tm.AlgorithmEntry("pso", tm.SwarmConfig())
         with pytest.raises(tm.ConfigError, match="instance_source"):
             tm.ExperimentSpec(Path("five.csv"), (entry,), 1, 0)
 
     def test_duplicate_names(self):
-        entry = tm.AlgorithmEntry("x", "pso", tm.SwarmConfig())
+        entry = tm.AlgorithmEntry("x", tm.SwarmConfig())
         with pytest.raises(tm.ConfigError):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry, entry), 1, 0)
 
-    def test_unknown_kind(self):
-        entry = tm.AlgorithmEntry("x", "tabu", tm.SwarmConfig())
-        with pytest.raises(tm.ConfigError):
-            tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
-
-    def test_config_must_match_kind(self):
-        entry = tm.AlgorithmEntry("x", "ga", tm.SwarmConfig())
-        with pytest.raises(tm.ConfigError, match="SwarmConfig"):
+    @pytest.mark.parametrize("config", [{"n_particles": 8}, "pso", None], ids=["dict", "str", "None"])
+    def test_config_must_be_a_solver_config(self, config):
+        entry = tm.AlgorithmEntry("x", config)
+        with pytest.raises(tm.ConfigError, match="not a solver config"):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
 
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r", "\u2028", "", 5, None])
     def test_bad_algorithm_name(self, name):
-        entry = tm.AlgorithmEntry(name, "pso", tm.SwarmConfig())
+        entry = tm.AlgorithmEntry(name, tm.SwarmConfig())
         with pytest.raises(tm.ConfigError, match="algorithm names"):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
 

@@ -57,6 +57,11 @@ class TestSolve:
         assert captured.out == ""
         assert "error" in captured.err.lower()
 
+    def test_path_with_a_null_byte_exits_2(self, capsys):
+        assert main(["solve", "a\x00b.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_no_instance_exits_2(self, capsys):
         assert main(["solve", "--algo", "pso"]) == 2
 
@@ -260,6 +265,19 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("instance", ["\ud800.csv", "a\x00b.csv"],
+                             ids=["lone-surrogate", "null-byte"])
+    def test_instance_path_no_file_can_have_exits_2(self, tmp_path, capsys, instance):
+        # both used to exit 1: UnicodeEncodeError, and ValueError: embedded null byte
+        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc["instance"] = instance
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))  # as \ud800 and \u0000
+        assert main(["bench", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert repr(instance) in captured.err
+
     def test_threads_env_var_is_ignored(self, monkeypatch, capsys):
         def no_pool(max_workers):
             raise AssertionError("bench without --threads started a pool")
@@ -298,6 +316,20 @@ class TestConvert:
         assert main(["convert", str(src), "--to", "csv"]) == 0
         parsed, _ = tm.parse_coords_csv(capsys.readouterr().out)
         assert [(c.x, c.y) for c in parsed.cities] == [(0.0, 0.0), (5.0, 5.0), (9.0, 1.0)]
+
+    @pytest.mark.parametrize("to", ["csv", "tsplib"])
+    def test_output_of_a_file_named_with_a_line_break_loads(self, tmp_path, capsys, to):
+        # the name "a\nb" once spilled "b" onto a line of its own
+        src = tmp_path / "a\nb.csv"
+        try:
+            src.write_text("0,0\n1,3\n4,3\n")
+        except OSError:
+            pytest.skip("the file system refuses a line break in a file name")
+        out = tmp_path / f"out.{to}"
+        assert main(["convert", str(src), "--to", to, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(out), "--algo", "sa"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPlot:

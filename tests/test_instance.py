@@ -132,6 +132,16 @@ class TestTourLength:
         with pytest.raises(tm.DimensionMismatchError):
             tm.tour_length((0, 1, 2), m)
 
+    def test_a_matrix_is_the_size_of_its_rows(self, five_city):
+        # a matrix once stored its size apart from its rows, and a four-city
+        # label on the five-city rows gave a four-city tour the length 15.07347
+        m = tm.DistanceMatrix(tm.build_distance_matrix(five_city).d)
+        assert m.n == 5
+        with pytest.raises(tm.DimensionMismatchError):
+            tm.tour_length((0, 1, 2, 3), m)
+        with pytest.raises(tm.InvalidTourError):
+            tm.two_opt((0, 1, 2, 3), m)
+
     @pytest.mark.parametrize("tour", [(0, 1, 2, 3, -1), (0, 0, 1, 2, 3)])
     def test_a_tuple_that_is_no_tour_raises(self, five_city, tour):
         # -1 would index the last city and a repeated city would be summed
@@ -292,11 +302,6 @@ class TestInstanceValidation:
         for bad in ("manhattan", None, 1, ["euclidean-exact"]):
             with pytest.raises(ValueError):
                 tm.Instance.from_coords("square", coords, bad)
-
-    def test_out_of_order_ids_rejected(self):
-        cities = (tm.City(1, 0.0, 0.0), tm.City(0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            tm.Instance(name="bad", cities=cities)
 
     @pytest.mark.parametrize("coords", [
         [(1e200, 0), (-1e200, 0), (0, 1), (3, 4)],

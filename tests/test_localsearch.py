@@ -371,7 +371,7 @@ def test_both_scans_read_each_edge_the_same_way_round(n, small_integers, seed):
     d = rng.integers(1, 5, (n, n)).astype(float) if small_integers else rng.random((n, n))
     np.fill_diagonal(d, 0.0)
     d.setflags(write=False)
-    m = tm.DistanceMatrix(n=n, d=d)
+    m = tm.DistanceMatrix(d)
     order = list(tm.random_tour(n, random.Random(seed)))
     for moves in range(5):
         move = _first_improving_move(order, m)

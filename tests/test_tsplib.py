@@ -163,6 +163,21 @@ class TestWriters:
         for a, b in zip(back.cities, inst.cities):
             assert (a.x, a.y) == (b.x, b.y)
 
+    @settings(max_examples=200)
+    @given(st.text(st.sampled_from("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") | st.characters(),
+                   max_size=12))
+    def test_a_name_with_line_breaks_is_written_on_one_line(self, name):
+        # "a\nb" used to spill "b" onto a line of its own: the CSV parser
+        # refused it and the TSPLIB parser warned of a keyword 'B'
+        coords = [(0.0, 0.0), (1.5, 3.0), (4.0, 3.25)]
+        inst = tm.Instance.from_coords(name, coords)
+        csv, csv_diags = tm.parse_coords_csv(tm.write_coords_csv(inst))
+        tsp, tsp_diags = tm.parse_tsplib(tm.write_tsplib(inst))
+        for back, diags in ((csv, csv_diags), (tsp, tsp_diags)):
+            assert [(c.x, c.y) for c in back.cities] == coords
+            assert diags.warnings == []
+        assert tsp.name.splitlines() in ([tsp.name], [])
+
 
 class TestPackagedBerlin52:
     def test_loads(self, berlin52):
