@@ -244,6 +244,13 @@ def sa_thresholds(temp: float | np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # Proposals drawn per numpy call; bounds memory whatever the run's length.
 SA_BLOCK = 1 << 12
+# A level runs in numpy chunks when the level before it accepted a move less
+# often than once in this many proposals. Scoring one 1500-proposal level of
+# berlin52 both ways, from a 2-opt optimum, numpy took 1.3-1.6 times the
+# scalar loop's time at 45 proposals per accept, 0.8-1.05 times at 93 and
+# 0.6-0.75 times at 125 (shared 2-CPU machine). 96 also lies above 81, the
+# longest default level at up to 9 cities, so those always run scalar.
+SA_COLD_GAP = 96
 
 
 def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
@@ -265,24 +272,73 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     of blocks (_sa_proposals) that runs across the levels. A new best is
     re-scored with cycle_length, and so is the current tour at the end of
     each level, to shed the drift of summed deltas.
+
+    Each level runs one of two paths. The first level, and any level whose
+    previous level accepted moves at least once per SA_COLD_GAP proposals
+    (iters // (accepts + 1) < SA_COLD_GAP), runs the scalar loop: one
+    proposal at a time, through sa_accept. A colder level is scored in
+    numpy chunks of twice that gap (_sa_cold_passes), which drops the
+    rejected proposals in bulk, and the loop runs only on those that pass.
+    Both read the same proposals and sum each delta in the same order, so
+    the result is the same bit for bit.
     """
     return run_search(instance, cfg, _sa_search)
 
 
 def _sa_proposals(gen: np.random.Generator, table, temps: list, iters: int):
-    """The proposals of a run of len(temps) levels of iters each, as
-    (i, j, (j + 1) % n, threshold) tuples, drawn in blocks of
-    min(SA_BLOCK, proposals left): proposal indices into table first, then
-    as many uniforms u. Proposal p belongs to level l = p // iters, and its
-    threshold is sa_thresholds(temps[l], u), so one block can span many
-    short levels."""
+    """The proposals of a run of len(temps) levels of iters each, in blocks
+    of min(SA_BLOCK, proposals left), each block four arrays: i, j,
+    (j + 1) % n and threshold. A block draws its proposal indices into table
+    first, then as many uniforms u. Proposal p belongs to level
+    l = p // iters, and its threshold is sa_thresholds(temps[l], u), so one
+    block can span many short levels."""
     total = len(temps) * iters
     temps = np.array(temps)
     for done in range(0, total, SA_BLOCK):
         end = min(done + SA_BLOCK, total)
         k = gen.integers(len(table[0]), size=end - done)
         thresholds = sa_thresholds(temps[np.arange(done, end) // iters], gen.random(end - done))
-        yield zip(*(column[k].tolist() for column in table), thresholds.tolist())
+        yield (*(column[k] for column in table), thresholds)
+
+
+def _sa_tuples(block, start: int = 0):
+    """A block's proposals from index start on, as (i, j, jn, threshold)
+    tuples of Python numbers."""
+    return zip(*(column[start:].tolist() for column in block))
+
+
+def _sa_cold_passes(tour: np.ndarray, flat: np.ndarray, i, j, jn, thresholds, chunk: int):
+    """The proposals of a stretch (arrays i, j, jn and thresholds) that pass,
+    in order, as (i, j, jn, threshold) tuples. The deltas of chunk proposals
+    at a time are scored at once against tour, a numpy copy of the current
+    order, from flat, the distance matrix's flat view. The first that passes
+    is reversed into tour and yielded, and scoring resumes right after it.
+    Each delta is summed in the scalar loop's order, ((ac + be) - ab) - ce,
+    so it is the same float and the same proposals pass."""
+    n = len(tour)
+    # tour positions of the four edges' ends: a, b, a, c, then c, e, b, e
+    ends = np.stack((i - 1, i, i - 1, j, j, jn, i, jn))
+    start, size = 0, len(i)
+    while start < size:
+        part = slice(start, min(start + chunk, size))
+        cities = tour.take(ends[:, part])
+        edges, heads = cities[:4], cities[4:]
+        edges *= n
+        edges += heads
+        ac, be, ab, ce = flat.take(edges)
+        delta = ac + be
+        delta -= ab
+        delta -= ce
+        passed = delta < thresholds[part]
+        first = int(passed.argmax())
+        if not passed[first]:
+            start = part.stop
+            continue
+        p = start + first
+        lo, hi = int(i[p]), int(j[p])
+        tour[lo:hi + 1] = tour[lo:hi + 1][::-1]
+        yield lo, hi, int(jn[p]), float(thresholds[p])
+        start = p + 1
 
 
 def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random.Random):
@@ -316,14 +372,46 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
         temps.append(temp)
         temp *= cfg.cooling
     iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n
-    proposals = chain.from_iterable(_sa_proposals(gen, table, temps, iters))
-    for _ in temps:
-        for i, j, jn, threshold in islice(proposals, iters):
+    block, end = (), 0  # the last block drawn, and the index one past its last proposal
+
+    def drawn():
+        nonlocal block, end
+        for block in _sa_proposals(gen, table, temps, iters):
+            end += len(block[0])
+            yield block
+
+    def cold(level: int, chunk: int):  # the level's passing proposals, block by block
+        tour = np.array(order)
+        p, stop = level * iters, (level + 1) * iters
+        while p < stop:
+            if p == end:
+                next(blocks)
+            start = p - end + len(block[0])
+            part = (column[start:start + min(stop, end) - p] for column in block)
+            yield from _sa_cold_passes(tour, flat, *part, chunk)
+            p = min(stop, end)
+
+    blocks = drawn()
+    proposals = chain.from_iterable(map(_sa_tuples, blocks))
+    flat = m.d.ravel()
+    accepts = iters  # the first level runs scalar
+    for level in range(len(temps)):
+        gap = iters // (accepts + 1)  # the previous level's mean proposals per accept
+        accepts = 0
+        if gap >= SA_COLD_GAP:
+            level_proposals, proposals = cold(level, 2 * gap), None
+        else:
+            if proposals is None:  # go on from the first proposal the cold levels left
+                proposals = chain(_sa_tuples(block, level * iters - end + len(block[0])),
+                                  chain.from_iterable(map(_sa_tuples, blocks)))
+            level_proposals = islice(proposals, iters)
+        for i, j, jn, threshold in level_proposals:
             a, b, c, e = order[i - 1], order[i], order[j], order[jn]
             delta = rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
             if sa_accept(delta, threshold):
                 order[i:j + 1] = order[i:j + 1][::-1]
                 current += delta
+                accepts += 1
                 if current < best_cost:
                     # re-score canonically so the recorded best is exact
                     actual = cycle_length(order, rows)

@@ -22,7 +22,7 @@ from .baselines import GaConfig, SaConfig, run_ga, run_sa
 from .errors import ConfigError, _check_type
 from .instance import Instance, RunResult, Tour, build_distance_matrix, tour_length
 from .pso import SwarmConfig, run as run_pso
-from .tsplib import five_city_instance, load_instance_file
+from .tsplib import five_city_instance, load_instance_file, open_text
 
 BUILTIN_INSTANCE_MARKER = "builtin-paper"
 
@@ -124,12 +124,13 @@ def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read an experiment spec from a JSON file. See README for the schema."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # drops a leading BOM
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"experiment spec is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"experiment spec is not valid JSON: {exc}") from None
+    with open_text(path) as file:
+        try:
+            doc = json.load(file)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"experiment spec is not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"experiment spec is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("experiment spec must be a JSON object")
     required = {"instance", "algorithms", "runs_per_algorithm", "base_seed"}

@@ -15,13 +15,12 @@ import sys
 import typing
 from dataclasses import fields
 from enum import Enum
-from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import TspmetaError
 from .instance import MAX_EXACT_CITIES, Instance, Metric, Tour, brute_force_optimal, validate_tour
 from .svgplot import render_tour_svg
-from .tsplib import five_city_instance, write_coords_csv, write_tsplib
+from .tsplib import five_city_instance, open_text, write_coords_csv, write_tsplib
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
@@ -85,6 +84,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write(path: str, text: str) -> None:
+    with open_text(path, "w") as file:
+        file.write(text)
+    print(f"wrote {path}")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = bench_mod.load_experiment_spec(args.spec)
     records = bench_mod.run_experiment(spec, threads=args.threads)
@@ -99,11 +104,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{s.sample_std:>10.5f} {s.worst:>12.5f} {gap:>8}")
 
     if args.out_csv:
-        Path(args.out_csv).write_text(bench_mod.emit_csv(records), encoding="utf-8")
-        print(f"wrote {args.out_csv}")
+        _write(args.out_csv, bench_mod.emit_csv(records))
     if args.out_json:
-        Path(args.out_json).write_text(bench_mod.emit_json(records, stats), encoding="utf-8")
-        print(f"wrote {args.out_json}")
+        _write(args.out_json, bench_mod.emit_json(records, stats))
     return 0
 
 
@@ -117,8 +120,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     else:
         text = write_coords_csv(instance)
     if args.out and args.out != "-":
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -145,9 +147,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         tour = _solve(instance, "pso", args.seed, {}).best_tour
     else:
         tour = _parse_tour_arg(args.tour, instance.n)
-    svg = render_tour_svg(instance, tour)
-    Path(args.out).write_text(svg, encoding="utf-8")
-    print(f"wrote {args.out}")
+    _write(args.out, render_tour_svg(instance, tour))
     return 0
 
 

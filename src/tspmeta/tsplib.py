@@ -232,19 +232,29 @@ def parse_tour_file(text: str, n: int, source_name: str = "<tour>") -> Tour:
     return tour
 
 
+def open_text(path: str | Path, mode: str = "r"):
+    """The file at path opened as UTF-8 text, a leading byte-order mark
+    dropped on reading. A path that no file can have, one holding a lone
+    surrogate that no byte stands for (UnicodeEncodeError) or a null byte
+    (ValueError), raises ParseError naming it by its repr."""
+    try:
+        return open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8")
+    except (UnicodeEncodeError, ValueError) as exc:
+        raise ParseError(f"no file can have the path {str(path)!r}: {exc}") from None
+
+
 def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
     """Load an instance from disk, dispatching on the file extension
     (.tsp/.tsplib use the TSPLIB parser, anything else the CSV parser)."""
     p = Path(path)
-    try:
+    with open_text(p) as file:
         # a file name's bytes that do not decode are held as lone surrogates,
         # which no UTF-8 output can encode; they become U+FFFD in the names
         source_name = os.fsencode(p.name).decode(sys.getfilesystemencoding(), errors="replace")
-        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source_name} is not UTF-8 text: {exc}") from None
-    except (UnicodeEncodeError, ValueError) as exc:  # a surrogate no byte stands for, a null byte
-        raise ParseError(f"no file can have the path {str(path)!r}: {exc}") from None
+        try:
+            text = file.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source_name} is not UTF-8 text: {exc}") from None
     if p.suffix.lower() in (".tsp", ".tsplib"):
         return parse_tsplib(text, source_name=source_name)
     return parse_coords_csv(text, name=Path(source_name).stem, source_name=source_name)

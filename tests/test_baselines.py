@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import tspmeta as tm
 from tspmeta import baselines
 from conftest import in_time, random_instance
-from tspmeta.baselines import (SA_BLOCK, _sa_proposals, order_crossover_rows, sa_thresholds,
-                               swap_mutation_rows, tournament_winners)
+from tspmeta.baselines import (SA_BLOCK, SA_COLD_GAP, _sa_cold_passes, _sa_proposals,
+                               order_crossover_rows, sa_thresholds, swap_mutation_rows,
+                               tournament_winners)
 from tspmeta.errors import MAX_POPULATION, MAX_TEMPERATURE_LEVELS
 from tspmeta.instance import cycle_length, cycle_lengths
 from tspmeta.localsearch import reversal_table
@@ -349,7 +350,8 @@ def test_each_proposal_gets_its_levels_threshold(iters, levels):
     temps = [3.0 * 0.9 ** level for level in range(levels)]
     total = iters * levels
     got = list(itertools.chain.from_iterable(
-        _sa_proposals(np.random.default_rng(11), table, temps, iters)))
+        zip(*(column.tolist() for column in block))
+        for block in _sa_proposals(np.random.default_rng(11), table, temps, iters)))
     assert len(got) == total
     gen = np.random.default_rng(11)
     for done in range(0, total, SA_BLOCK):
@@ -360,6 +362,151 @@ def test_each_proposal_gets_its_levels_threshold(iters, levels):
             assert (i, j, jn) == tuple(int(column[k[p - done]]) for column in table)
             expected = sa_thresholds(temps[p // iters], u)[p - done]
             assert threshold.hex() == float(expected).hex()
+
+
+class PathLog:
+    """Records which path scores each proposal of run_sa: one ("scalar", 1,
+    passed) event per sa_accept call outside a cold stretch, one ("cold",
+    proposals, passes) event per stretch _sa_cold_passes scores. The run
+    calls sa_accept on each cold pass too, and every call is counted."""
+
+    def __init__(self, monkeypatch):
+        self.events, self.accept_calls, self.stretch_passes = [], 0, None
+        accept, passes = baselines.sa_accept, baselines._sa_cold_passes
+
+        def counted_accept(delta, threshold):
+            self.accept_calls += 1
+            out = accept(delta, threshold)
+            if self.stretch_passes is None:
+                self.events.append(("scalar", 1, int(out)))
+            else:
+                assert out  # the scalar rule passes what the cold stretch passed
+            return out
+
+        def counted_passes(tour, flat, i, *rest):
+            self.stretch_passes = 0
+            for proposal in passes(tour, flat, i, *rest):
+                self.stretch_passes += 1
+                yield proposal
+            self.events.append(("cold", len(i), self.stretch_passes))
+            self.stretch_passes = None
+
+        monkeypatch.setattr(baselines, "sa_accept", counted_accept)
+        monkeypatch.setattr(baselines, "_sa_cold_passes", counted_passes)
+
+    def levels(self, iters: int) -> list[tuple[str, int]]:
+        """(path, accepts) of each level, checking that one path scored it all."""
+        levels, path, proposals, accepts = [], None, 0, 0
+        for kind, count, passed in self.events:
+            assert path in (None, kind)
+            path, proposals, accepts = kind, proposals + count, accepts + passed
+            assert proposals <= iters
+            if proposals == iters:
+                levels.append((path, accepts))
+                path, proposals, accepts = None, 0, 0
+        assert proposals == 0
+        return levels
+
+
+@st.composite
+def stretches(draw):
+    """An instance of 3-40 cities, uniform or on a rounded grid, a tour of
+    it as a list and a stretch of 300 proposals (arrays i, j, jn and
+    thresholds). On the grid every delta is an integer, so the integer
+    thresholds tie some of them."""
+    n, seed = draw(st.integers(3, 40)), draw(st.integers(0, 2 ** 32 - 1))
+    rng = random.Random(seed)
+    if draw(st.booleans()):
+        instance = tm.Instance.from_coords(
+            "grid", [(rng.randrange(9) * 10, rng.randrange(9) * 10) for _ in range(n)],
+            tm.Metric.EUCLIDEAN_ROUNDED)
+    else:
+        instance = random_instance(rng, n)
+    gen = np.random.default_rng(seed)
+    table = reversal_table(n)
+    k = gen.integers(len(table[0]), size=300)
+    stretch = (*(column[k] for column in table),
+               gen.choice([-np.inf, -10.0, 0.0, 10.0, 20.0, np.inf], size=300))
+    return tm.build_distance_matrix(instance), list(tm.random_tour(n, rng)), stretch
+
+
+def scalar_delta(rows, order, i, j, jn):
+    a, b, c, e = order[i - 1], order[i], order[j], order[jn]
+    return rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
+
+
+def cold_cases():
+    # berlin52's integer distances under the benchmark's schedule: about half
+    # the levels accept a move less than once in SA_COLD_GAP proposals
+    yield pytest.param(tm.packaged_instance("berlin52"),
+                       tm.SaConfig(cooling=0.8, iters_per_temp=1500, min_temp=0.5, seed=3),
+                       id="berlin52")
+    # levels of 5000 proposals, longer than a block: a block ends inside each
+    # of them and cuts the chunk then being scored short
+    yield pytest.param(random_instance(random.Random(40), 40),
+                       tm.SaConfig(initial_temp=0.05, cooling=0.5, iters_per_temp=5000, seed=40),
+                       id="n40-long-levels")
+
+
+class TestColdLevels:
+    @pytest.mark.parametrize("instance, cfg", cold_cases())
+    def test_equal_the_one_proposal_at_a_time_reference(self, monkeypatch, instance, cfg):
+        log = PathLog(monkeypatch)
+        result = in_time(tm.run_sa, instance, cfg, seconds=30.0)
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg)
+        cold = [event for event in log.events if event[0] == "cold"]
+        assert sum(count for _, count, _ in log.events) == result.evaluations - 1
+        assert log.accept_calls < result.evaluations - 1
+        assert sum(passed for _, _, passed in cold) > 0  # cold levels that accept moves
+        if cfg.iters_per_temp > SA_BLOCK:
+            assert any(count < cfg.iters_per_temp for _, count, _ in cold)
+
+    @pytest.mark.parametrize("instance, cfg", [
+        *cold_cases(),
+        # default levels at n <= 9 hold at most 81 proposals, fewer than SA_COLD_GAP
+        pytest.param(random_instance(random.Random(9), 9), tm.SaConfig(seed=9), id="n9-defaults"),
+    ])
+    def test_a_level_runs_in_numpy_when_the_one_before_was_cold(self, monkeypatch, instance,
+                                                                 cfg):
+        log = PathLog(monkeypatch)
+        result = tm.run_sa(instance, cfg)
+        iters = cfg.iters_per_temp or instance.n ** 2
+        levels = log.levels(iters)
+        assert len(levels) == result.iterations_run
+        assert levels[0][0] == "scalar"
+        for (_, accepts), (path, _) in zip(levels, levels[1:]):
+            assert path == ("cold" if iters // (accepts + 1) >= SA_COLD_GAP else "scalar")
+        assert any(path == "cold" for path, _ in levels) == (iters >= SA_COLD_GAP)
+
+    @given(stretches())
+    def test_each_delta_is_the_scalar_sum_bit_for_bit(self, case):
+        # a proposal alone passes a threshold of its scalar delta's next float
+        # up, and not one of the scalar delta itself, iff its numpy delta is
+        # that very float
+        m, order, (i, j, jn, _) = case
+        flat, tour = m.d.ravel(), np.array(order)
+        for p in range(len(i)):
+            delta = scalar_delta(m.rows(), order, int(i[p]), int(j[p]), int(jn[p]))
+            one = (i[p:p + 1], j[p:p + 1], jn[p:p + 1])
+            assert not list(_sa_cold_passes(tour.copy(), flat, *one, np.array([delta]), 1))
+            assert list(_sa_cold_passes(tour.copy(), flat, *one,
+                                        np.array([np.nextafter(delta, np.inf)]), 1))
+
+    @given(stretches(), st.integers(1, 70))
+    @example((tm.build_distance_matrix(tm.packaged_instance("berlin52")), list(range(52)),
+              (*reversal_table(52), np.full(1325, 0.0))), 1)
+    def test_passes_are_the_scalar_loops(self, case, chunk):
+        m, order, stretch = case
+        rows, tour = m.rows(), np.array(order)
+        got = in_time(list, _sa_cold_passes(tour, m.d.ravel(), *stretch, chunk))
+        expected = []
+        for i, j, jn, threshold in zip(*(column.tolist() for column in stretch)):
+            if scalar_delta(rows, order, i, j, jn) < threshold:
+                order[i:j + 1] = order[i:j + 1][::-1]
+                expected.append((i, j, jn, threshold))
+        assert got == expected
+        assert tour.tolist() == order
 
 
 class TestRunSa:
@@ -390,6 +537,26 @@ class TestRunSa:
         result = tm.run_sa(instance, cfg)
         assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
                 result.evaluations) == reference_sa(instance, cfg)
+
+    def test_results_are_pinned(self):
+        # pins tour, cost, history and evaluations for the benchmark's three SA
+        # configs (defaults at n = 5..9, berlin52 with cooling 0.8, n = 200
+        # with 1000 proposals per level) and c6's schedule on berlin52
+        digest = hashlib.sha256()
+        berlin52 = tm.packaged_instance("berlin52")
+        cases = [(random_instance(random.Random(n), n), tm.SaConfig(seed=n)) for n in range(5, 10)]
+        cases += [(berlin52, tm.SaConfig(cooling=0.8, iters_per_temp=1500, min_temp=0.5,
+                                         seed=seed)) for seed in (2, 3)]
+        cases += [(random_instance(random.Random(200), 200),
+                   tm.SaConfig(cooling=0.8, iters_per_temp=1000, min_temp=1e-3, seed=1)),
+                  (berlin52, tm.SaConfig(cooling=0.99, iters_per_temp=1500, min_temp=0.5,
+                                         seed=0))]
+        for inst, cfg in cases:
+            result = tm.run_sa(inst, cfg)
+            digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
+                                result.evaluations)).encode())
+        assert digest.hexdigest() == (
+            "dc1e7a36449f4471345e9f1315146c2e10765446533d2a28ef7149a329ef1c02")
 
     def test_tiny_instances(self):
         two = tm.Instance.from_coords("two", [(0, 0), (3, 4)])

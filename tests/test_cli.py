@@ -19,8 +19,19 @@ SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 BUNDLED_SPEC = SPECS_DIR / "five_city_repro.json"
 
 
+# paths no file can have: a lone surrogate no byte stands for, a null byte
+NO_FILE_CAN_HAVE = pytest.mark.parametrize("path", ["\ud800.out", "a\x00b.out"],
+                                           ids=["lone-surrogate", "null-byte"])
+
+
 def strip_timing(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if not line.startswith("time:"))
+
+
+def refused_path(capsys, path: str) -> bool:
+    """Whether the command's error output names path as one no file can have."""
+    err = capsys.readouterr().err
+    return err.startswith("error: no file can have the path") and repr(path) in err
 
 
 class TestSolve:
@@ -278,6 +289,22 @@ class TestBench:
         assert captured.out == "" and captured.err.startswith("error:")
         assert repr(instance) in captured.err
 
+    @NO_FILE_CAN_HAVE
+    def test_spec_path_no_file_can_have_exits_2(self, tmp_path, monkeypatch, capsys, path):
+        # used to exit 1: load_experiment_spec caught only decode errors
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", path]) == 2
+        assert refused_path(capsys, path)
+
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-json"])
+    @NO_FILE_CAN_HAVE
+    def test_output_path_no_file_can_have_exits_2(self, tmp_path, monkeypatch, capsys, flag,
+                                                   path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", str(BUNDLED_SPEC), flag, path]) == 2
+        assert refused_path(capsys, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_threads_env_var_is_ignored(self, monkeypatch, capsys):
         def no_pool(max_workers):
             raise AssertionError("bench without --threads started a pool")
@@ -330,6 +357,14 @@ class TestConvert:
         capsys.readouterr()
         assert main(["solve", str(out), "--algo", "sa"]) == 0
         assert capsys.readouterr().err == ""
+
+
+    @NO_FILE_CAN_HAVE
+    def test_output_path_no_file_can_have_exits_2(self, tmp_path, monkeypatch, capsys, path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["convert", "--builtin-paper", "--to", "csv", "--out", path]) == 2
+        assert refused_path(capsys, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlot:
@@ -387,6 +422,13 @@ class TestPlot:
         assert main(["plot", "--builtin-paper", "--out", str(tmp_path / "x.svg")]) == 2
         assert main(["plot", "--builtin-paper", "--tour", "1,2,3,4,5",
                      "--solve-first", "--out", str(tmp_path / "x.svg")]) == 2
+
+    @NO_FILE_CAN_HAVE
+    def test_output_path_no_file_can_have_exits_2(self, tmp_path, monkeypatch, capsys, path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["plot", "--builtin-paper", "--tour", "1,2,3,4,5", "--out", path]) == 2
+        assert refused_path(capsys, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_stable_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
