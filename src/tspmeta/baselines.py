@@ -6,7 +6,6 @@ acceptance, geometric cooling). Both are deterministic per seed.
 
 from __future__ import annotations
 
-import functools
 import random
 import statistics
 import sys
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MAX_POPULATION, MAX_TEMPERATURE_LEVELS, ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
@@ -102,65 +100,83 @@ def swap_mutation(t: Tour, rng: random.Random) -> Tour:
     return tuple(order)
 
 
-@functools.lru_cache(maxsize=8)
-def _crossover_windows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two read-only (n + 1, n) views of 2n-long arrays: row s of the first
-    is the rotation (s + c) % n of the positions c, row L of the second is
-    True at the first n - L of them. Cached for a few sizes."""
-    return (sliding_window_view(np.arange(2 * n) % n, n),
-            sliding_window_view(np.arange(2 * n) < n, n))
+class CrossoverWork:
+    """The workspaces of order_crossover_rows for arrays of up to `rows`
+    rows of n cities, allocated once, so that a GA that crosses over every
+    generation allocates no array of that size."""
+
+    def __init__(self, rows: int, n: int):
+        s, c = np.arange(n + 1)[:, None], np.arange(n)
+        self.rotations = (s + c) % n              # row s: the positions c rotated left by s
+        self.heads = (c < n - s).astype(np.intp)  # row L: 1 at the first n - L of them
+        self.offsets = np.repeat(np.arange(rows) * n, n).reshape(rows, n)  # row r: r * n
+        self.positions, self.flat, self.cities, self.flags, self.outside = \
+            np.empty((5, rows, n), np.intp)
+        self.child = np.empty(rows * n + 1, np.intp)  # slot 0 takes the writes no row keeps
 
 
-def order_crossover_rows(p1: np.ndarray, p2: np.ndarray,
-                         cut_l: np.ndarray, cut_r: np.ndarray) -> np.ndarray:
-    """order_crossover applied row by row to (C, n) parent arrays with
-    per-row cuts. Positions and cities are read in coordinates rotated left
-    by cut_r, where p1's segment is the tail of length L = cut_r - cut_l and
-    the fill positions are the head, of length n - L. The child is a copy
-    of p1 whose head positions get p2's cities, in rotated order, that are
-    not in p1's segment. Every row's rotation and head come from one row of
-    _crossover_windows, indices are flat (row * n + column), and the kept
-    cities are compacted and scattered over all rows at once."""
-    count, n = p1.shape
-    rotations, heads = _crossover_windows(n)
-    rows = (np.arange(count) * n)[:, None]
-    rotate = rotations[cut_r]
-    rotate += rows
-    head = heads[cut_r - cut_l].reshape(-1)
-    outside = np.empty(p1.size, dtype=bool)  # flat (row, city): not in the segment
-    cities = p1.take(rotate)
-    cities += rows
-    outside[cities.reshape(-1)] = head
-    cities = p2.take(rotate)
-    cities += rows
-    kept = outside[cities.reshape(-1)]
-    cities -= rows
-    # compress reads row-major, so each row's kept cities keep their order
-    # and land on exactly that row's n - L head positions
-    fill = cities.compress(kept)
-    # Each temporary is as large as the parents, and the GA makes them every
-    # generation. Freeing each before the next is made keeps the heap low:
-    # the C allocator hands a freed heap top back to the system, and
-    # growing it again costs page faults.
-    del cities
-    dest = rotate.compress(head)
-    del rotate
-    child = p1.copy()
-    child.reshape(-1)[dest] = fill
-    return child
+def order_crossover_rows(children: np.ndarray, rows: np.ndarray, parents: np.ndarray,
+                         mates: np.ndarray, cut_l: np.ndarray, cut_r: np.ndarray,
+                         work: CrossoverWork | None = None) -> None:
+    """order_crossover in place on some rows of a (C, n) array: for each r,
+    row rows[r] of children (parent 1, distinct rows) becomes its child with
+    row mates[r] of parents (parent 2), with cuts cut_l[r] and cut_r[r].
+    work is a CrossoverWork for at least as many rows as children and
+    parents have; one is allocated if it is None.
+
+    Positions and cities are read in coordinates rotated left by cut_r, where
+    parent 1's segment is the tail of length L = cut_r - cut_l and the fill
+    positions are the head, of length n - L. Both parents are gathered in
+    rotated order through flat indices (row * n + column). A row's head then
+    gets parent 2's cities that are not in the segment, in order: the k-th
+    of them goes to head position k - 1, k counted by a row-wise cumsum, and
+    every other city to a slot no row reads. The child is scattered back to
+    its row. Every (C, n) step writes into work."""
+    count, n = len(rows), children.shape[1]
+    if not children.flags.c_contiguous:
+        raise ValueError("children must be C-contiguous: the child rows are written flat")
+    if work is None:
+        work = CrossoverWork(max(len(children), len(parents)), n)
+    local = work.offsets[:count]  # row r's offset in the (count, n) workspaces
+    positions, flat, cities, flags = (
+        a[:count] for a in (work.positions, work.flat, work.cities, work.flags))
+    child = work.child[1:count * n + 1].reshape(count, n)
+    outside = work.outside.reshape(-1)
+    # take writes into out without buffering only with mode="clip"; every
+    # index here is in range, so it clips nothing
+    work.rotations.take(cut_r, axis=0, out=positions, mode="clip")
+    work.heads.take(cut_r - cut_l, axis=0, out=flags, mode="clip")
+    work.offsets.take(rows, axis=0, out=flat, mode="clip")
+    flat += positions
+    children.take(flat, out=child, mode="clip")  # parent 1, rotated
+    np.add(child, local, out=cities)
+    outside[cities] = flags  # at (r, city): 1 if city is not in row r's segment
+    work.offsets.take(mates, axis=0, out=cities, mode="clip")
+    positions += cities
+    parents.take(positions, out=cities, mode="clip")  # parent 2, rotated
+    np.add(cities, local, out=positions)
+    outside.take(positions, out=flags, mode="clip")
+    np.cumsum(flags, axis=1, out=positions)
+    positions += local
+    positions *= flags  # 1 + r * n + head position for the kept cities, 0 for the rest
+    work.child[positions] = cities
+    children.reshape(-1)[flat] = child
 
 
-def swap_mutation_rows(tours: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """swap_mutation applied to each row of a (C, n) array, n >= 2: two
-    distinct uniform positions per row, drawn the same way from gen."""
-    count, n = tours.shape
-    rows = np.arange(count)
-    i = gen.integers(n, size=count)
-    j = gen.integers(n - 1, size=count)
+def swap_mutation_rows(tours: np.ndarray, rows: np.ndarray, gen: np.random.Generator) -> None:
+    """swap_mutation in place on the given distinct rows of a (C, n) array,
+    n >= 2: two distinct uniform positions per row, drawn the same way from
+    gen, all first positions and then all offsets."""
+    n = tours.shape[1]
+    i = gen.integers(n, size=len(rows))
+    j = gen.integers(n - 1, size=len(rows))
     j += j >= i
-    out = tours.copy()
-    out[rows, i], out[rows, j] = tours[rows, j], tours[rows, i]
-    return out
+    offsets = rows * n
+    i += offsets
+    j += offsets
+    first = tours.take(i)
+    tours.put(i, tours.take(j))
+    tours.put(j, first)
 
 
 def tournament_winners(draws: np.ndarray, ranked: np.ndarray) -> np.ndarray:
@@ -184,8 +200,11 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
     of that stream, and each generation is made at once on a (P, n) array:
     one draw each for all tournaments, crossover and mutation coins, cuts
     and swap positions, with the same distributions as order_crossover and
-    swap_mutation. Costs come from cycle_lengths, so every recorded cost is
-    the sequential sum cycle_length gives.
+    swap_mutation. The elites and children are gathered into a second
+    population buffer, crossed over, mutated and scored there in place, and
+    the two buffers swap; these and every workspace are allocated once per
+    run. Costs come from cycle_lengths, so every recorded cost is the
+    sequential sum cycle_length gives.
     """
     return run_search(instance, cfg, _ga_search)
 
@@ -193,9 +212,17 @@ def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
 def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random.Random):
     n, size = instance.n, cfg.population
     elite, count = cfg.elitism, size - cfg.elitism
+    # Every generation is made in these buffers, allocated once per run: a
+    # generation that allocated its (P, n) arrays afresh page-faulted them
+    # in, as the C allocator hands a freed heap top back to the system.
+    spare = np.empty((size, n), np.intp)
+    scoring = np.empty((size, n), np.intp), np.empty((size, n))
+    work = CrossoverWork(size, n)
 
     population = np.array([random_tour(n, rng) for _ in range(size)], dtype=np.intp)
-    costs = cycle_lengths(population, m.d)
+    costs = cycle_lengths(population, m.d, scoring).copy()
+    spare_costs = np.empty_like(costs)
+    scoring = tuple(a[:count] for a in scoring)
     gen = np.random.default_rng(rng.getrandbits(64))
     evaluations = size
 
@@ -208,17 +235,21 @@ def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random
         kept = ranked[:elite]
         draws = gen.integers(size, size=(2 * count, cfg.tournament_k))
         parents = tournament_winners(draws, ranked)
-        children = population[parents[:count]]
+        population.take(kept, axis=0, out=spare[:elite], mode="clip")
+        costs.take(kept, out=spare_costs[:elite], mode="clip")
+        children = spare[elite:]
+        population.take(parents[:count], axis=0, out=children, mode="clip")
         crossed = np.flatnonzero(gen.random(count) < cfg.crossover_rate)
         cut_l = gen.integers(n, size=crossed.size)
         cut_r = gen.integers(cut_l + 1, n + 1)
-        children[crossed] = order_crossover_rows(
-            children[crossed], population[parents[count:][crossed]], cut_l, cut_r)
+        order_crossover_rows(children, crossed, population, parents[count + crossed],
+                             cut_l, cut_r, work)
         if n >= 2:
             mutated = np.flatnonzero(gen.random(count) < cfg.mutation_rate)
-            children[mutated] = swap_mutation_rows(children[mutated], gen)
-        population = np.concatenate((population[kept], children))
-        costs = np.concatenate((costs[kept], cycle_lengths(children, m.d)))
+            swap_mutation_rows(children, mutated, gen)
+        spare_costs[elite:] = cycle_lengths(children, m.d, scoring)
+        population, spare = spare, population
+        costs, spare_costs = spare_costs, costs
         evaluations += count
         best = int(np.argmin(costs))
         if costs[best] < best_cost:

@@ -68,11 +68,13 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ConfigError(f"algorithm names must be unique, got {names}")
         for a in self.algorithms:
-            # names are written unquoted into CSV rows, one record per line
+            # names are written unquoted into CSV rows, one record per line,
+            # and printed: a lone surrogate has no UTF-8 encoding
             if not isinstance(a.name, str) or a.name.splitlines() != [a.name] \
-                    or "," in a.name or '"' in a.name:
+                    or "," in a.name or '"' in a.name \
+                    or any("\ud800" <= c <= "\udfff" for c in a.name):
                 raise ConfigError("algorithm names must be non-empty text without ',', "
-                                  f"'\"' or line breaks, got {a.name!r}")
+                                  f"'\"', line breaks or lone surrogates, got {a.name!r}")
             if type(a.config) not in _RUN_BY_CONFIG:
                 raise ConfigError(f"algorithm {a.name!r} has a {type(a.config).__name__}, "
                                   "not a solver config")

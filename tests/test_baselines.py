@@ -5,6 +5,7 @@ import random
 import statistics
 import sys
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -82,23 +83,48 @@ def tournaments(draw):
 class TestBatchedOperators:
     @given(crossover_rows())
     @example([((0,), (0,), 0, 1)])                  # n = 1
+    @example([((1, 0), (0, 1), 1, 2)])              # n = 2
     @example([((3, 0, 2, 1), (1, 2, 3, 0), 1, 4)])  # cut_r == n
     @example([((2, 0, 1, 3), (3, 1, 0, 2), 0, 4),   # full segment
               ((1, 0, 3, 2), (0, 1, 2, 3), 2, 3)])
     def test_batched_crossover_equals_the_scalar_reference(self, rows):
         p1, p2, cut_l, cut_r = (np.array(column) for column in zip(*rows))
-        children = order_crossover_rows(p1, p2, cut_l, cut_r)
-        assert [tuple(child) for child in children.tolist()] == \
+        count = len(rows)
+        # pair r's parent 1 is child row count - r, after a row that is not
+        # crossed, and its parent 2 is row count - 1 - r of the parents
+        children = np.concatenate((p1[:1], p1[::-1]))
+        order_crossover_rows(children, count - np.arange(count), p2[::-1],
+                             count - 1 - np.arange(count), cut_l, cut_r)
+        assert [tuple(child) for child in children[:0:-1].tolist()] == \
                [tm.order_crossover(*row) for row in rows]
+        assert children[0].tolist() == list(p1[0])
 
-    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 12), st.integers(0, 3))
+    def test_no_rows_crossed_or_mutated_changes_nothing(self, n, count):
+        # the GA crosses and mutates (0, n) batches when elitism == population
+        tours = np.arange(count * n).reshape(count, n) % n
+        before = tours.copy()
+        none = np.arange(0)
+        order_crossover_rows(tours, none, tours, none, none, none)
+        if n >= 2:
+            swap_mutation_rows(tours, none, np.random.default_rng(0))
+        assert tours.tolist() == before.tolist()
+
+    @given(st.integers(2, 12), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+    @example(2, 1, 0)  # n = 2: the one other position
     def test_batched_mutation_swaps_two_positions_per_row(self, n, count, seed):
         rng = random.Random(seed)
-        tours = np.array([tm.random_tour(n, rng) for _ in range(count)])
-        mutated = swap_mutation_rows(tours, np.random.default_rng(seed))
-        for before, after in zip(tours.tolist(), mutated.tolist()):
-            tm.validate_tour(after, n)
-            assert sum(a != b for a, b in zip(before, after)) == 2
+        tours = [tm.random_tour(n, rng) for _ in range(count)]
+        rows = np.arange(0, count, 2)  # every other row; the rest stay as they are
+        mutated = np.array(tours, dtype=np.intp).reshape(count, n)
+        swap_mutation_rows(mutated, rows, np.random.default_rng(seed))
+        # swap_mutation's randrange(n) and randrange(n - 1) replayed from the
+        # same stream: all first positions, then all offsets
+        gen = np.random.default_rng(seed)
+        draws = {k: iter(gen.integers(k, size=len(rows)).tolist()) for k in (n, n - 1)}
+        replay = types.SimpleNamespace(randrange=lambda k: next(draws[k]))
+        assert [tuple(t) for t in mutated.tolist()] == \
+               [tm.swap_mutation(t, replay) if r % 2 == 0 else t for r, t in enumerate(tours)]
 
     @given(st.integers(1, 300), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
            st.sampled_from(tm.Metric))
@@ -112,7 +138,10 @@ class TestBatchedOperators:
         m = tm.build_distance_matrix(inst)
         tours = [tm.random_tour(n, rng) for _ in range(count)]
         orders = np.array(tours, dtype=np.intp).reshape(count, n)
-        assert cycle_lengths(orders, m.d).tolist() == [cycle_length(t, m.rows()) for t in tours]
+        expected = [cycle_length(t, m.rows()) for t in tours]
+        assert cycle_lengths(orders, m.d).tolist() == expected
+        work = np.empty((count, n), np.intp), np.empty((count, n))
+        assert cycle_lengths(orders, m.d, work).tolist() == expected
 
     @given(tournaments())
     def test_tournament_winner_is_the_lexicographic_minimum(self, costs_and_draws):
@@ -218,6 +247,43 @@ class TestRunGa:
                                         result.evaluations)).encode())
         assert digest.hexdigest() == (
             "f94e74cb86287176da37c906998a227c7c5b64b22f0211aedcbe8d4c6944e2ea")
+
+    def test_results_are_pinned_at_the_benchmark_shapes(self):
+        # berlin52 with the benchmark's population of 350, and 200 uniform
+        # cities with the default population: runs far larger than the pin above
+        digest = hashlib.sha256()
+        berlin = tm.packaged_instance("berlin52")
+        runs = [(berlin, tm.GaConfig(population=350, mutation_rate=0.3, generations=20,
+                                     seed=seed)) for seed in range(3)]
+        uniform = random_instance(random.Random(200), 200)
+        runs += [(uniform, tm.GaConfig(generations=25, seed=seed)) for seed in range(2)]
+        for inst, cfg in runs:
+            result = tm.run_ga(inst, cfg)
+            digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
+                                result.evaluations)).encode())
+        assert digest.hexdigest() == (
+            "ed9d6531c6326dab6008169985cf4915b3e9a1d1339d810b977f3a339159e954")
+
+    def test_a_generation_allocates_less_than_one_population(self):
+        # a generation makes its (P, n) arrays in buffers the run allocates
+        # once; when each generation allocated its own, the C allocator
+        # handed them back to the system and the next one page-faulted them in
+        inst = tm.packaged_instance("berlin52")
+        cfg = tm.GaConfig(population=350, mutation_rate=0.3, generations=8, seed=1)
+        search = baselines._ga_search(inst, cfg, tm.build_distance_matrix(inst), random.Random(1))
+        next(search)
+        next(search)  # the first generation
+        added = []  # the traced peak of each later generation over what was live before it
+        tracemalloc.start()
+        try:
+            for _ in range(cfg.generations - 1):
+                live = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                next(search)
+                added.append(tracemalloc.get_traced_memory()[1] - live)
+        finally:
+            tracemalloc.stop()
+        assert max(added) < cfg.population * inst.n * 8, added
 
     @pytest.mark.parametrize("kwargs", [
         dict(population=0),

@@ -179,7 +179,8 @@ class TestExperimentSpecValidation:
         with pytest.raises(tm.ConfigError, match="not a solver config"):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r", "\u2028", "", 5, None])
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r", "\u2028", "", 5, None,
+                                      "\ud800", "a\udcffb"])
     def test_bad_algorithm_name(self, name):
         entry = tm.AlgorithmEntry(name, tm.SwarmConfig())
         with pytest.raises(tm.ConfigError, match="algorithm names"):

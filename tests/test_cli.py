@@ -289,6 +289,17 @@ class TestBench:
         assert captured.out == "" and captured.err.startswith("error:")
         assert repr(instance) in captured.err
 
+    def test_algorithm_name_with_a_lone_surrogate_exits_2(self, tmp_path, capsys):
+        # used to exit 1: the summary table could not print the name
+        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc["algorithms"][0]["name"] = "\ud800"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))  # as \ud800
+        assert main(["bench", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "'\\ud800'" in captured.err
+
     @NO_FILE_CAN_HAVE
     def test_spec_path_no_file_can_have_exits_2(self, tmp_path, monkeypatch, capsys, path):
         # used to exit 1: load_experiment_spec caught only decode errors
