@@ -282,6 +282,32 @@ SA_BLOCK = 1 << 12
 # 0.6-0.75 times at 125 (shared 2-CPU machine). 96 also lies above 81, the
 # longest default level at up to 9 cities, so those always run scalar.
 SA_COLD_GAP = 96
+# A new best is recorded without a re-score when the running cost `current`
+# lies below the best by more than this bound on its drift from
+# cycle_length(order), in units of u * dmax (u = 2**-53, dmax the largest
+# distance). build_distance_matrix gives finite, non-negative and exactly
+# symmetric distances ((xi - xj)**2 is (xj - xi)**2 bit for bit), so a
+# reversal changes the real tour length L by exactly ac + be - ab - ce, and
+# L <= n * dmax. With gamma_k = k*u / (1 - k*u), the recursive-summation bound
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002):
+# - cycle_length sums n terms, so it is within gamma_n * n * dmax of L, both
+#   at the level's start, where `current` is read from it, and for the order
+#   it is compared with: 2 * gamma_n * n * dmax <= 2.02 * n*n * u * dmax
+#   (n * u < 0.01 at any n a matrix fits in memory for);
+# - each delta, ((ac + be) - ab) - ce, is within 4 * gamma_3 * dmax of the real
+#   change, and adding it to `current` rounds by at most u * |current|, below
+#   2 * n * u * dmax while the drift is below n * dmax: by induction, this
+#   bound keeps it there for 10**14 accepted moves in a level, beyond any run.
+# So after k accepted moves the drift is at most 4 * (n*n + k*(n + 4)) * u *
+# dmax. The slack used is twice that, so that rounding the comparisons
+# themselves (a few u times a cost, far below the bound) cannot flip one.
+# The bound starts from 0 at each level, where `current` is re-scored. These
+# bounds need no overflow and no loss to underflow: Instance refuses
+# coordinates whose squared distance overflows, so a distance is below 1.4e154
+# and no sum of n of them overflows; a nonzero distance is at least 2.2e-162,
+# the square root of the least subnormal, so the slack stays a normal float;
+# and sums and differences round within u also when their result is subnormal.
+SA_DRIFT_ULPS = 8.0
 
 
 def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
@@ -300,9 +326,14 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     The starting tour comes from random_tour on random.Random(seed). Every
     later draw comes from a numpy Generator seeded by the next 64 bits of
     that stream: the AUTO samples, then the run's proposals as one stream
-    of blocks (_sa_proposals) that runs across the levels. A new best is
-    re-scored with cycle_length, and so is the current tour at the end of
-    each level, to shed the drift of summed deltas.
+    of blocks (_sa_proposals) that runs across the levels. The current tour
+    is re-scored with cycle_length at the end of each level, to shed the
+    drift of summed deltas. A new best is recorded as a re-score at once
+    would record it, but re-scored only at the level's end: a tour whose
+    summed cost lies below the best by more than the drift bound
+    (SA_DRIFT_ULPS) is certain to be recorded, so it is kept pending; a
+    comparison the bound cannot decide re-scores the pending tour, then the
+    current one, at once.
 
     Each level runs one of two paths. The first level, and any level whose
     previous level accepted moves at least once per SA_COLD_GAP proposals
@@ -425,10 +456,15 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
     blocks = drawn()
     proposals = chain.from_iterable(map(_sa_tuples, blocks))
     flat = m.d.ravel()
+    unit = SA_DRIFT_ULPS * 2.0 ** -53 * float(m.d.max())  # the slack's unit; see SA_DRIFT_ULPS
     accepts = iters  # the first level runs scalar
     for level in range(len(temps)):
         gap = iters // (accepts + 1)  # the previous level's mean proposals per accept
         accepts = 0
+        # The exact cost of the best so far lies in [low, high]: it is
+        # best_cost, or that of the pending tour, a new best made certain by
+        # the drift bound, held as (tour, accepts) and re-scored at the level's end
+        pending, low, high = None, best_cost, best_cost
         if gap >= SA_COLD_GAP:
             level_proposals, proposals = cold(level, 2 * gap), None
         else:
@@ -443,11 +479,25 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
                 order[i:j + 1] = order[i:j + 1][::-1]
                 current += delta
                 accepts += 1
-                if current < best_cost:
-                    # re-score canonically so the recorded best is exact
-                    actual = cycle_length(order, rows)
-                    if actual < best_cost:
-                        best_tour, best_cost = tuple(order), actual
+                if current < high:
+                    slack = unit * (n * n + accepts * (n + 4))
+                    if current + slack < low:  # so cycle_length(order) < low: a new best
+                        pending = tuple(order), accepts
+                        low, high = current - slack, current + slack
+                    else:  # a near tie: settle it as re-scoring each new best at once would
+                        if pending is not None:
+                            best_tour, pending = pending[0], None
+                            best_cost = cycle_length(best_tour, rows)
+                        if current < best_cost:
+                            actual = cycle_length(order, rows)
+                            if actual < best_cost:
+                                best_tour, best_cost = tuple(order), actual
+                        low = high = best_cost
         evaluations += iters
-        current = cycle_length(order, rows)  # shed accumulated float drift
+        # shed accumulated float drift; the pending tour's score serves when it is the order
+        if pending is None:
+            current = cycle_length(order, rows)
+        else:
+            best_tour, best_cost = pending[0], cycle_length(pending[0], rows)
+            current = best_cost if pending[1] == accepts else cycle_length(order, rows)
         yield best_tour, best_cost, evaluations

@@ -575,6 +575,76 @@ class TestColdLevels:
         assert tour.tolist() == order
 
 
+@st.composite
+def sa_runs(draw):
+    """An instance of 3-60 cities and a short SA schedule: uniform in the unit
+    square, on a rounded grid (integer distances, so costs tie exactly), or
+    uniform scaled by up to 1e150 (the largest drift bound), its min_temp
+    scaled alike. At 3-5 cities many reversals give back the same cycle, so
+    the running cost dips below the best by rounding alone."""
+    family = draw(st.sampled_from(["uniform", "grid", "scaled"]))
+    n, seed = draw(st.integers(3, 60)), draw(st.integers(0, 2 ** 32 - 1))
+    rng = random.Random(seed)
+    scale = 10.0 ** draw(st.integers(1, 150)) if family == "scaled" else 1.0
+    if family == "grid":
+        instance = tm.Instance.from_coords(
+            "grid", [(rng.randrange(9) * 10, rng.randrange(9) * 10) for _ in range(n)],
+            tm.Metric.EUCLIDEAN_ROUNDED)
+    else:
+        instance = tm.Instance.from_coords(
+            family, [(rng.random() * scale, rng.random() * scale) for _ in range(n)])
+    cfg = tm.SaConfig(cooling=draw(st.sampled_from([0.5, 0.8])),
+                      iters_per_temp=draw(st.integers(1, 150)), min_temp=1e-3 * scale, seed=seed)
+    return instance, cfg
+
+
+def rescores(mp, module) -> list:
+    """Counts module.cycle_length's calls, in a one-item list, from now until
+    mp is undone."""
+    count, score = [0], module.cycle_length
+
+    def counted(order, rows):
+        count[0] += 1
+        return score(order, rows)
+
+    mp.setattr(module, "cycle_length", counted)
+    return count
+
+
+class TestDeferredBest:
+    @given(sa_runs())
+    def test_equals_the_re_score_at_every_new_best(self, case):
+        instance, cfg = case
+        with pytest.MonkeyPatch.context() as mp:
+            ours, theirs = rescores(mp, baselines), rescores(mp, sys.modules[__name__])
+            result = in_time(tm.run_sa, instance, cfg, seconds=30.0)
+            assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                    result.evaluations) == reference_sa(instance, cfg)
+        # the reference re-scores its best once more, after canonicalize
+        assert ours[0] <= theirs[0] - 1
+
+    @given(sa_runs())
+    def test_when_the_bound_decides_nothing_each_new_best_is_re_scored(self, case):
+        # a constant so large that the bound decides nothing: every new best
+        # takes the exact path, with the reference's re-scores one for one
+        instance, cfg = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "SA_DRIFT_ULPS", 1e300)
+            ours, theirs = rescores(mp, baselines), rescores(mp, sys.modules[__name__])
+            result = in_time(tm.run_sa, instance, cfg, seconds=30.0)
+            assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                    result.evaluations) == reference_sa(instance, cfg)
+        assert ours[0] == theirs[0] - 1
+
+    def test_a_run_re_scores_at_most_twice_a_level(self, monkeypatch):
+        # the pinned n = 200 run re-scored 669 times when each new best was
+        # re-scored at once: at most the pending best and the final order per level
+        count = rescores(monkeypatch, baselines)
+        result = tm.run_sa(random_instance(random.Random(200), 200),
+                           tm.SaConfig(cooling=0.8, iters_per_temp=1000, min_temp=1e-3, seed=1))
+        assert count[0] <= 2 * result.iterations_run + 2
+
+
 class TestRunSa:
     def test_five_city_defaults_find_optimum(self, five_city):
         for seed in range(5):
