@@ -10,7 +10,6 @@ import random
 import statistics
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 import numpy as np
 
@@ -66,7 +65,7 @@ class SaConfig:
             if self.min_temp >= self.initial_temp:
                 raise ConfigError("min_temp must be below initial_temp")
         if self.iters_per_temp is not None and not 1 <= self.iters_per_temp <= sys.maxsize:
-            raise ConfigError(f"iters_per_temp must be in [1, {sys.maxsize}] (islice's limit)")
+            raise ConfigError(f"iters_per_temp must be in [1, {sys.maxsize}] (numpy's int64 limit)")
 
 
 def order_crossover(p1: Tour, p2: Tour, cut_l: int, cut_r: int) -> Tour:
@@ -325,24 +324,24 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
 
     The starting tour comes from random_tour on random.Random(seed). Every
     later draw comes from a numpy Generator seeded by the next 64 bits of
-    that stream: the AUTO samples, then the run's proposals as one stream
-    of blocks (_sa_proposals) that runs across the levels. The current tour
-    is re-scored with cycle_length at the end of each level, to shed the
-    drift of summed deltas. A new best is recorded as a re-score at once
-    would record it, but re-scored only at the level's end: a tour whose
-    summed cost lies below the best by more than the drift bound
-    (SA_DRIFT_ULPS) is certain to be recorded, so it is kept pending; a
-    comparison the bound cannot decide re-scores the pending tour, then the
-    current one, at once.
+    that stream: the AUTO samples, then the run's proposals as one stream of
+    blocks (_sa_proposals). Each level reads on where the one before it
+    stopped, up to a block's end at a time. The current tour is re-scored
+    with cycle_length at the end of each level, to shed the drift of summed
+    deltas. A new best is recorded as a re-score at once would record it,
+    but re-scored only at the level's end: a tour whose summed cost lies
+    below the best by more than the drift bound (SA_DRIFT_ULPS) is certain
+    to be recorded, so it is kept pending; a comparison the bound cannot
+    decide re-scores the pending tour, then the current one, at once.
 
     Each level runs one of two paths. The first level, and any level whose
     previous level accepted moves at least once per SA_COLD_GAP proposals
-    (iters // (accepts + 1) < SA_COLD_GAP), runs the scalar loop: one
-    proposal at a time, through sa_accept. A colder level is scored in
-    numpy chunks of twice that gap (_sa_cold_passes), which drops the
-    rejected proposals in bulk, and the loop runs only on those that pass.
-    Both read the same proposals and sum each delta in the same order, so
-    the result is the same bit for bit.
+    (iters // (accepts + 1) < SA_COLD_GAP), runs the scalar loop over the
+    block's columns as lists: one proposal at a time, through sa_accept. A
+    colder level is scored in numpy chunks of twice that gap
+    (_sa_cold_passes), which drops the rejected proposals in bulk, and the
+    loop runs only on those that pass. Both sum each delta in the same
+    order, so the result is the same bit for bit.
     """
     return run_search(instance, cfg, _sa_search)
 
@@ -361,12 +360,6 @@ def _sa_proposals(gen: np.random.Generator, table, temps: list, iters: int):
         k = gen.integers(len(table[0]), size=end - done)
         thresholds = sa_thresholds(temps[np.arange(done, end) // iters], gen.random(end - done))
         yield (*(column[k] for column in table), thresholds)
-
-
-def _sa_tuples(block, start: int = 0):
-    """A block's proposals from index start on, as (i, j, jn, threshold)
-    tuples of Python numbers."""
-    return zip(*(column[start:].tolist() for column in block))
 
 
 def _sa_cold_passes(tour: np.ndarray, flat: np.ndarray, i, j, jn, thresholds, chunk: int):
@@ -434,65 +427,56 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
         temps.append(temp)
         temp *= cfg.cooling
     iters = cfg.iters_per_temp if cfg.iters_per_temp is not None else n * n
-    block, end = (), 0  # the last block drawn, and the index one past its last proposal
-
-    def drawn():
-        nonlocal block, end
-        for block in _sa_proposals(gen, table, temps, iters):
-            end += len(block[0])
-            yield block
-
-    def cold(level: int, chunk: int):  # the level's passing proposals, block by block
-        tour = np.array(order)
-        p, stop = level * iters, (level + 1) * iters
-        while p < stop:
-            if p == end:
-                next(blocks)
-            start = p - end + len(block[0])
-            part = (column[start:start + min(stop, end) - p] for column in block)
-            yield from _sa_cold_passes(tour, flat, *part, chunk)
-            p = min(stop, end)
-
-    blocks = drawn()
-    proposals = chain.from_iterable(map(_sa_tuples, blocks))
     flat = m.d.ravel()
-    unit = SA_DRIFT_ULPS * 2.0 ** -53 * float(m.d.max())  # the slack's unit; see SA_DRIFT_ULPS
+    unit = SA_DRIFT_ULPS * 2.0 ** -53 * m.largest  # the slack's unit; see SA_DRIFT_ULPS
+    # A cursor on the run's one stream of proposal blocks: the current block,
+    # its columns as lists ci, cj, cjn and ct (made on the first scalar stretch
+    # that reads it), its next proposal's index `at` and its length `end`.
+    blocks, at, end = _sa_proposals(gen, table, temps, iters), 0, 0
     accepts = iters  # the first level runs scalar
-    for level in range(len(temps)):
+    for _ in temps:
         gap = iters // (accepts + 1)  # the previous level's mean proposals per accept
         accepts = 0
         # The exact cost of the best so far lies in [low, high]: it is
         # best_cost, or that of the pending tour, a new best made certain by
         # the drift bound, held as (tour, accepts) and re-scored at the level's end
         pending, low, high = None, best_cost, best_cost
-        if gap >= SA_COLD_GAP:
-            level_proposals, proposals = cold(level, 2 * gap), None
-        else:
-            if proposals is None:  # go on from the first proposal the cold levels left
-                proposals = chain(_sa_tuples(block, level * iters - end + len(block[0])),
-                                  chain.from_iterable(map(_sa_tuples, blocks)))
-            level_proposals = islice(proposals, iters)
-        for i, j, jn, threshold in level_proposals:
-            a, b, c, e = order[i - 1], order[i], order[j], order[jn]
-            delta = rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
-            if sa_accept(delta, threshold):
-                order[i:j + 1] = order[i:j + 1][::-1]
-                current += delta
-                accepts += 1
-                if current < high:
-                    slack = unit * (n * n + accepts * (n + 4))
-                    if current + slack < low:  # so cycle_length(order) < low: a new best
-                        pending = tuple(order), accepts
-                        low, high = current - slack, current + slack
-                    else:  # a near tie: settle it as re-scoring each new best at once would
-                        if pending is not None:
-                            best_tour, pending = pending[0], None
-                            best_cost = cycle_length(best_tour, rows)
-                        if current < best_cost:
-                            actual = cycle_length(order, rows)
-                            if actual < best_cost:
-                                best_tour, best_cost = tuple(order), actual
-                        low = high = best_cost
+        tour = np.array(order) if gap >= SA_COLD_GAP else None  # a cold level's numpy order
+        left = iters
+        while left:
+            if at == end:
+                block, ci, at = next(blocks), None, 0
+                end = len(block[0])
+            stop = min(end, at + left)
+            if tour is not None:  # only its passing proposals, scored in numpy
+                stretch = _sa_cold_passes(tour, flat, *(column[at:stop] for column in block),
+                                          2 * gap)
+            else:
+                if ci is None:
+                    ci, cj, cjn, ct = (column.tolist() for column in block)
+                stretch = zip(ci[at:stop], cj[at:stop], cjn[at:stop], ct[at:stop])
+            left, at = left - (stop - at), stop
+            for i, j, jn, threshold in stretch:
+                a, b, c, e = order[i - 1], order[i], order[j], order[jn]
+                delta = rows[a][c] + rows[b][e] - rows[a][b] - rows[c][e]
+                if sa_accept(delta, threshold):
+                    order[i:j + 1] = order[i:j + 1][::-1]
+                    current += delta
+                    accepts += 1
+                    if current < high:
+                        slack = unit * (n * n + accepts * (n + 4))
+                        if current + slack < low:  # so cycle_length(order) < low: a new best
+                            pending = tuple(order), accepts
+                            low, high = current - slack, current + slack
+                        else:  # a near tie: settle it as re-scoring each new best at once would
+                            if pending is not None:
+                                best_tour, pending = pending[0], None
+                                best_cost = cycle_length(best_tour, rows)
+                            if current < best_cost:
+                                actual = cycle_length(order, rows)
+                                if actual < best_cost:
+                                    best_tour, best_cost = tuple(order), actual
+                            low = high = best_cost
         evaluations += iters
         # shed accumulated float drift; the pending tour's score serves when it is the order
         if pending is None:

@@ -64,9 +64,6 @@ class ExperimentSpec:
             raise ConfigError("runs_per_algorithm must be >= 1")
         if not self.algorithms:
             raise ConfigError("an experiment needs at least one algorithm")
-        names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"algorithm names must be unique, got {names}")
         for a in self.algorithms:
             # names are written unquoted into CSV rows, one record per line,
             # and printed: a lone surrogate has no UTF-8 encoding
@@ -78,6 +75,9 @@ class ExperimentSpec:
             if type(a.config) not in _RUN_BY_CONFIG:
                 raise ConfigError(f"algorithm {a.name!r} has a {type(a.config).__name__}, "
                                   "not a solver config")
+        names = [a.name for a in self.algorithms]  # text by now, so hashable
+        if len(set(names)) != len(names):
+            raise ConfigError(f"algorithm names must be unique, got {names}")
         if self.reference_cost is not None and self.reference_cost <= 0:
             raise ConfigError(f"reference_cost must be > 0, got {self.reference_cost!r}")
 

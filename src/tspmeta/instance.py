@@ -90,6 +90,11 @@ class DistanceMatrix:
             object.__setattr__(self, "_rows", cached)
         return cached
 
+    @functools.cached_property
+    def largest(self) -> float:
+        """The largest distance, as a Python float."""
+        return float(self.d.max())
+
 
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     """Pairwise costs for an instance under its metric.

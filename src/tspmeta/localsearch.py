@@ -14,13 +14,22 @@ import numpy as np
 
 from .instance import DistanceMatrix, Tour, validate_tour
 
-# A move must beat the incumbent by more than this to be applied; keeps
-# float noise from causing improvement cycles.
+# A move must beat the incumbent by more than _margin(m), at least this, to be
+# applied; keeps float noise from causing improvement cycles.
 IMPROVEMENT_EPS = 1e-10
 
 # How many nearest neighbours of each city the 2-opt and Or-opt sweeps try
 # as the new end of an edge (Bentley, 1992; Johnson & McGeoch, 1997).
 NEIGHBORS = 8
+
+
+def _margin(m: DistanceMatrix) -> float:
+    """IMPROVEMENT_EPS, or 2**-48 * D where that is more (D the largest
+    distance, above 28,147). A delta of at most six distances rounds within
+    13 * 2**-53 * D, so each move made shortens the tour exactly and no
+    search can cycle, up to the 1e154 distances Instance takes."""
+    scaled = 2.0 ** -48 * m.largest
+    return scaled if scaled > IMPROVEMENT_EPS else IMPROVEMENT_EPS
 
 
 @functools.lru_cache(maxsize=8)
@@ -108,12 +117,12 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     (successor, then predecessor), try each c in a's neighbour list while
     d(a, c) < d(a, b): the move that replaces edges (a, b) and (c, e), with
     e c's neighbour on the same side, by (a, c) and (b, e). Apply the first
-    one whose delta, ((ac + be) - ab) - ce, is below -IMPROVEMENT_EPS, by
+    one whose delta, ((ac + be) - ab) - ce, is below -_margin(m), by
     reversing the one of the move's two paths that does not wrap past
     position n-1, and queue its four endpoints again."""
     n = m.n
     rows = m.rows()
-    near = _neighbor_lists(m)
+    near, margin = _neighbor_lists(m), _margin(m)
     tour, pos = _tour_positions(t, n)
 
     def improving_move(a: int) -> tuple[int, int, int, int, int] | None:
@@ -128,7 +137,7 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
                     break
                 e = tour[(pos[c] + step) % n]
                 # e == a: the move would add back the two edges it removes
-                if e != a and ((ac + rows[b][e]) - ab) - rows[c][e] < -IMPROVEMENT_EPS:
+                if e != a and ((ac + rows[b][e]) - ab) - rows[c][e] < -margin:
                     return step, a, b, c, e
         return None
 
@@ -162,12 +171,12 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     list while d(x, c) < g, and each tour neighbour e of c, neither in the
     segment: the move that puts the segment between c and e, x next to c.
     Apply the first one whose delta, ((xc + ye) - ce) - g, is below
-    -IMPROVEMENT_EPS, by rotating the segment past the path between it and
+    -_margin(m), by rotating the segment past the path between it and
     its new place, on the one of the two sides that does not wrap past
     position n-1, and queue the move's six endpoints again."""
     n = m.n
     rows = m.rows()
-    near = _neighbor_lists(m)
+    near, margin = _neighbor_lists(m), _margin(m)
     tour, pos = _tour_positions(t, n)
     # (direction, length) of each segment from a; at least three cities stay
     # outside it, so that it has a place other than back between p and q
@@ -192,7 +201,7 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
                     k, row_c = pos[c], rows[c]
                     for e in (tour[(k + 1) % n], tour[k - 1]):
                         delta = ((xc + row_y[e]) - row_c[e]) - gain
-                        if delta < -IMPROVEMENT_EPS and e not in segment:
+                        if delta < -margin and e not in segment:
                             return segment, p, q, x, y, c, e
         return None
 
@@ -268,7 +277,7 @@ def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
     n = m.n
     if n < 4:
         return t
-    i_idx = reversal_table(n)[0]
+    i_idx, margin = reversal_table(n)[0], _margin(m)
     ac, be, ab, edge, j_idx = _tour_offsets(n)
 
     order = np.array(t, dtype=np.intp)
@@ -281,7 +290,7 @@ def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
         delta -= flat.take(ab)
         delta -= leaving.take(j_idx)
         k = int(delta.argmin())
-        if delta[k] >= -IMPROVEMENT_EPS:
+        if delta[k] >= -margin:
             break
         i, j = int(i_idx[k]), int(j_idx[k])
         order[i:j + 1] = order[i:j + 1][::-1]
@@ -326,11 +335,11 @@ def _three_opt_rebuild(seg1: list, seg2: list, case: int) -> list:
 
 def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int, int] | None:
     """The first cut triple i < j < k, in lexicographic order, with a
-    reconnection that beats the tour by more than IMPROVEMENT_EPS, as
+    reconnection that beats the tour by more than _margin(m), as
     (i, j, k, case) with case the first such reconnection; None if there is
     none. The pure-Python scan, and the reference for _first_improving_block."""
     n = m.n
-    rows = m.rows()
+    rows, margin = m.rows(), _margin(m)
     for i in range(n - 2):
         a, b = order[i], order[i + 1]
         for j in range(i + 1, n - 1):
@@ -338,8 +347,8 @@ def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int
             for k in range(j + 1, n):
                 f, g = order[k], order[(k + 1) % n]
                 deltas = _three_opt_deltas(rows, a, b, c, e, f, g)
-                if min(deltas) < -IMPROVEMENT_EPS:
-                    case = next(x for x, delta in enumerate(deltas) if delta < -IMPROVEMENT_EPS)
+                if min(deltas) < -margin:
+                    case = next(x for x, delta in enumerate(deltas) if delta < -margin)
                     return i, j, k, case
     return None
 
@@ -402,6 +411,7 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
     block that holds an improving triple."""
     n = m.n
     offsets, j_idx, k_idx = _three_opt_offsets(n)
+    margin = _margin(m)
     tour = np.array(order, dtype=np.intp)
     n2 = n * n
     src = np.empty(n2 + 3 * n + 1)
@@ -418,8 +428,8 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
             sums += edges[:, 2]
             deltas = sums[1:]
             deltas -= sums[0]
-            if deltas.min() < -IMPROVEMENT_EPS:
-                improving = deltas < -IMPROVEMENT_EPS
+            if deltas.min() < -margin:
+                improving = deltas < -margin
                 t = int(improving.any(axis=0).argmax())
                 return i, int(j_idx[lo + t]), int(k_idx[lo + t]), int(improving[:, t].argmax())
         start += n - 2 - i

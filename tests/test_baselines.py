@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
@@ -514,6 +514,21 @@ def cold_cases():
                        id="n40-long-levels")
 
 
+@st.composite
+def hand_offs(draw):
+    """An instance of 3-30 cities, a short SA schedule whose level length
+    does not divide SA_BLOCK, and an SA_COLD_GAP of 1-40. So small a gap
+    flips levels from the numpy path back to the scalar one and forth,
+    mid-block and in levels a block ends in."""
+    n, seed = draw(st.integers(3, 30)), draw(st.integers(0, 2 ** 32 - 1))
+    iters = draw(st.sampled_from([7, 100, 1000, 5000]))
+    levels = draw(st.integers(SA_BLOCK // iters + 1, 12_000 // iters))  # over a block
+    temp, cooling = draw(st.sampled_from([0.02, 0.1, 0.5])), draw(st.sampled_from([0.8, 0.9, 0.99]))
+    cfg = tm.SaConfig(initial_temp=temp, cooling=cooling, min_temp=temp * cooling ** (levels - 0.5),
+                      iters_per_temp=iters, seed=seed)
+    return random_instance(random.Random(seed), n), cfg, draw(st.integers(1, 40))
+
+
 class TestColdLevels:
     @pytest.mark.parametrize("instance, cfg", cold_cases())
     def test_equal_the_one_proposal_at_a_time_reference(self, monkeypatch, instance, cfg):
@@ -544,6 +559,35 @@ class TestColdLevels:
         for (_, accepts), (path, _) in zip(levels, levels[1:]):
             assert path == ("cold" if iters // (accepts + 1) >= SA_COLD_GAP else "scalar")
         assert any(path == "cold" for path, _ in levels) == (iters >= SA_COLD_GAP)
+
+    @given(hand_offs())
+    @settings(max_examples=40)
+    def test_flips_between_the_paths_equal_the_reference(self, case):
+        instance, cfg, gap = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "SA_COLD_GAP", gap)
+            result = in_time(tm.run_sa, instance, cfg, seconds=30.0)
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg)
+
+    def test_a_scalar_level_goes_on_mid_block_after_a_cold_one(self, monkeypatch):
+        # 44 levels of 1000 proposals, 4096 to a block: with a gap of 30 the
+        # levels flip between the paths both ways, also in levels a block ends in
+        monkeypatch.setattr(baselines, "SA_COLD_GAP", 30)
+        log = PathLog(monkeypatch)
+        instance = random_instance(random.Random(1), 12)
+        cfg = tm.SaConfig(initial_temp=0.1, cooling=0.9, min_temp=1e-3, iters_per_temp=1000,
+                          seed=1)
+        result = tm.run_sa(instance, cfg)
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg)
+        paths = [path for path, _ in log.levels(1000)]
+        flips = {(paths[level - 1], paths[level], level * 1000 % SA_BLOCK > 0,
+                  level * 1000 // SA_BLOCK < ((level + 1) * 1000 - 1) // SA_BLOCK)
+                 for level in range(1, len(paths)) if paths[level - 1] != paths[level]}
+        # (from, to, starts mid-block, a block ends inside it)
+        assert {("cold", "scalar", True, False), ("scalar", "cold", True, False),
+                ("cold", "scalar", True, True), ("scalar", "cold", True, True)} <= flips
 
     @given(stretches())
     def test_each_delta_is_the_scalar_sum_bit_for_bit(self, case):
@@ -741,7 +785,7 @@ class TestRunSa:
         dict(initial_temp=math.nan),
         dict(iters_per_temp=2.5),
         dict(cooling="0.9"),
-        dict(iters_per_temp=sys.maxsize + 1),  # more than islice counts off
+        dict(iters_per_temp=sys.maxsize + 1),  # numpy's int64 division refuses it
         dict(iters_per_temp=10 ** 29),
     ])
     def test_config_validation(self, kwargs):
@@ -751,3 +795,11 @@ class TestRunSa:
     def test_iters_per_temp_at_the_bound_is_accepted(self):
         # only built: a run would take for ever
         assert tm.SaConfig(iters_per_temp=sys.maxsize).iters_per_temp == sys.maxsize
+
+    def test_the_bound_is_the_largest_level_length_the_proposals_take(self):
+        # _sa_proposals finds each proposal's level by int64 division
+        table, gen = reversal_table(5), np.random.default_rng(0)
+        first = next(_sa_proposals(gen, table, [1.0], sys.maxsize))
+        assert len(first[0]) == SA_BLOCK
+        with pytest.raises(OverflowError):
+            next(_sa_proposals(gen, table, [1.0], sys.maxsize + 1))

@@ -180,8 +180,9 @@ class TestExperimentSpecValidation:
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)
 
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r", "\u2028", "", 5, None,
-                                      "\ud800", "a\udcffb"])
+                                      "\ud800", "a\udcffb", [], {"a": 1}])
     def test_bad_algorithm_name(self, name):
+        # a list or a dict is no name, and no key of the uniqueness check
         entry = tm.AlgorithmEntry(name, tm.SwarmConfig())
         with pytest.raises(tm.ConfigError, match="algorithm names"):
             tm.ExperimentSpec(BUILTIN_INSTANCE_MARKER, (entry,), 1, 0)

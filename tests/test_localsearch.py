@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
@@ -414,6 +415,42 @@ def test_or_opt_sweep_returns_a_shorter_or_equal_permutation(n, grid, seed):
     out = in_time(_or_opt_sweep, tour, m)
     tm.validate_tour(out, n)
     assert tm.tour_length(out, m) <= tm.tour_length(tour, m)
+
+
+# Each local search a run can reach, by name, on a matrix and a start tour.
+SEARCHES = {"two_opt": tm.two_opt, "passes": _two_opt_passes, "sweep": _neighbor_sweep,
+            "or_opt": _or_opt_sweep, "three_opt": tm.three_opt, "scans": _three_opt_scans}
+# A CLI fuzz found PSO's 2-opt polish cycling for ever on these four cities:
+# their distances reach 6.9e97, where rounding a delta errs by 1e82 and more
+HUGE_FOUR = [(-3.872906460434866e+16, 1000.0), (1.870859483710283e+16, 279.97955936732023),
+             (597.0532986688629, 6.931576875340676e+97),
+             (305.80745196189855, 2.3540219970784676e+16)]
+
+
+@settings(max_examples=60, phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(sorted(SEARCHES)), st.integers(4, 14), st.integers(0, 150),
+       st.integers(0, 2**32 - 1))
+@example("passes", 4, -1, 0)
+def test_each_search_ends_and_shortens_the_exact_length_on_huge_distances(name, n, exponent,
+                                                                          seed):
+    # the margin grows with the largest distance, so that each move made
+    # shortens the exact sum of the tour's distances (math.fsum rounds it
+    # correctly, so it cannot grow); exponent -1 takes HUGE_FOUR
+    rng = random.Random(seed)
+    if exponent < 0:
+        instance = tm.Instance.from_coords("huge", HUGE_FOUR, tm.Metric.EUCLIDEAN_ROUNDED)
+    else:
+        scale = 10.0 ** exponent
+        instance = tm.Instance.from_coords(
+            "scaled", [(rng.random() * scale, rng.random() * scale) for _ in range(n)])
+    m = tm.build_distance_matrix(instance)
+    tour = tm.random_tour(instance.n, rng)
+    out = in_time(SEARCHES[name], tour, m, seconds=5.0)
+    tm.validate_tour(tuple(out), instance.n)
+    def exact(t):
+        return math.fsum(m.d[t[k - 1], t[k]] for k in range(len(t)))
+
+    assert exact(out) <= exact(tour)
 
 
 def test_three_opt_at_n_200_from_a_two_opt_optimum_in_time(monkeypatch):
