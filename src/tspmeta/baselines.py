@@ -6,6 +6,7 @@ acceptance, geometric cooling). Both are deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import random
 import statistics
 import sys
@@ -99,15 +100,26 @@ def swap_mutation(t: Tour, rng: random.Random) -> Tour:
     return tuple(order)
 
 
+@functools.lru_cache(maxsize=8)
+def _crossover_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """order_crossover_rows' two (n + 1, n) read-only tables: row s of the
+    first holds the positions 0..n-1 rotated left by s, and row L of the
+    second 1 at the first n - L of them and 0 at the rest. Cached for a few
+    sizes, like reversal_table, so a GA run does not rebuild them."""
+    s, c = np.arange(n + 1)[:, None], np.arange(n)
+    tables = (s + c) % n, (c < n - s).astype(np.intp)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class CrossoverWork:
     """The workspaces of order_crossover_rows for arrays of up to `rows`
     rows of n cities, allocated once, so that a GA that crosses over every
     generation allocates no array of that size."""
 
     def __init__(self, rows: int, n: int):
-        s, c = np.arange(n + 1)[:, None], np.arange(n)
-        self.rotations = (s + c) % n              # row s: the positions c rotated left by s
-        self.heads = (c < n - s).astype(np.intp)  # row L: 1 at the first n - L of them
+        self.rotations, self.heads = _crossover_tables(n)
         self.offsets = np.repeat(np.arange(rows) * n, n).reshape(rows, n)  # row r: r * n
         self.positions, self.flat, self.cities, self.flags, self.outside = \
             np.empty((5, rows, n), np.intp)
@@ -178,13 +190,17 @@ def swap_mutation_rows(tours: np.ndarray, rows: np.ndarray, gen: np.random.Gener
     tours.put(j, first)
 
 
-def tournament_winners(draws: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+def tournament_winners(draws: np.ndarray, ranked: np.ndarray,
+                       work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per row of a (T, k) array of drawn population indices, the one that
     comes first in ranked, the population in (cost, index) order (the
-    stable argsort of the costs)."""
-    rank = np.empty_like(ranked)
-    rank[ranked] = np.arange(ranked.size)
-    return ranked[rank[draws].min(axis=1)]
+    stable argsort of the costs). work, if given, is a pair made once per
+    run: an intp array the size of ranked, that each index's rank is
+    written into, and np.arange(ranked.size)."""
+    rank, positions = work if work is not None else (np.empty_like(ranked),
+                                                     np.arange(ranked.size))
+    rank[ranked] = positions
+    return ranked.take(np.minimum.reduce(rank.take(draws), axis=1))
 
 
 def run_ga(instance: Instance, cfg: GaConfig) -> RunResult:
@@ -217,6 +233,7 @@ def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random
     spare = np.empty((size, n), np.intp)
     scoring = np.empty((size, n), np.intp), np.empty((size, n))
     work = CrossoverWork(size, n)
+    ranks = np.empty(size, np.intp), np.arange(size)
 
     population = np.array([random_tour(n, rng) for _ in range(size)], dtype=np.intp)
     costs = cycle_lengths(population, m.d, scoring).copy()
@@ -225,32 +242,32 @@ def _ga_search(instance: Instance, cfg: GaConfig, m: DistanceMatrix, rng: random
     gen = np.random.default_rng(rng.getrandbits(64))
     evaluations = size
 
-    best = int(np.argmin(costs))
+    best = costs.argmin()
     best_tour, best_cost = tuple(population[best].tolist()), float(costs[best])
     yield best_tour, best_cost, evaluations
 
     for _ in range(cfg.generations):
-        ranked = np.argsort(costs, kind="stable")
+        ranked = costs.argsort(kind="stable")
         kept = ranked[:elite]
         draws = gen.integers(size, size=(2 * count, cfg.tournament_k))
-        parents = tournament_winners(draws, ranked)
+        parents = tournament_winners(draws, ranked, ranks)
         population.take(kept, axis=0, out=spare[:elite], mode="clip")
         costs.take(kept, out=spare_costs[:elite], mode="clip")
         children = spare[elite:]
         population.take(parents[:count], axis=0, out=children, mode="clip")
-        crossed = np.flatnonzero(gen.random(count) < cfg.crossover_rate)
+        crossed = (gen.random(count) < cfg.crossover_rate).nonzero()[0]
         cut_l = gen.integers(n, size=crossed.size)
         cut_r = gen.integers(cut_l + 1, n + 1)
         order_crossover_rows(children, crossed, population, parents[count + crossed],
                              cut_l, cut_r, work)
         if n >= 2:
-            mutated = np.flatnonzero(gen.random(count) < cfg.mutation_rate)
+            mutated = (gen.random(count) < cfg.mutation_rate).nonzero()[0]
             swap_mutation_rows(children, mutated, gen)
         spare_costs[elite:] = cycle_lengths(children, m.d, scoring)
         population, spare = spare, population
         costs, spare_costs = spare_costs, costs
         evaluations += count
-        best = int(np.argmin(costs))
+        best = costs.argmin()
         if costs[best] < best_cost:
             best_tour, best_cost = tuple(population[best].tolist()), float(costs[best])
         yield best_tour, best_cost, evaluations

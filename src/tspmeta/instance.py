@@ -67,6 +67,13 @@ class Instance:
     def n(self) -> int:
         return len(self.cities)
 
+    def __getstate__(self):
+        """The fields alone: a pickled or copied instance carries no distance
+        matrix (see build_distance_matrix) and builds its own."""
+        state = dict(self.__dict__)
+        state.pop("_matrix", None)
+        return state
+
     @classmethod
     def from_coords(cls, name: str, coords: list[tuple[float, float]],
                     metric: Metric = Metric.EUCLIDEAN_EXACT) -> "Instance":
@@ -83,7 +90,9 @@ class DistanceMatrix:
         return len(self.d)
 
     def rows(self) -> list[list[float]]:
-        """Plain nested lists of the same float64 values, for tight loops."""
+        """Plain nested lists of the same float64 values, for tight loops.
+        Built on the first call and kept, so they are shared by every run on
+        the matrix's instance: no caller may write to them."""
         cached = getattr(self, "_rows", None)
         if cached is None:
             cached = self.d.tolist()
@@ -101,14 +110,25 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
 
     EUCLIDEAN_EXACT keeps sqrt((xi-xj)^2 + (yi-yj)^2) as-is;
     EUCLIDEAN_ROUNDED applies the TSPLIB EUC_2D convention int(dist + 0.5).
+
+    The matrix is built on the first call and kept on the instance, outside
+    its fields, so every later call returns the same read-only matrix, and
+    its rows, largest distance and neighbour lists are built once per
+    instance and shared by every run on it. A pickled or copied instance
+    leaves it behind and builds its own.
     """
+    cached = getattr(instance, "_matrix", None)
+    if cached is not None:
+        return cached
     xs = np.array([c.x for c in instance.cities], dtype=np.float64)
     ys = np.array([c.y for c in instance.cities], dtype=np.float64)
     d = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
     if instance.metric is Metric.EUCLIDEAN_ROUNDED:
         d = np.floor(d + 0.5)
     d.setflags(write=False)  # a kernel that writes into it by mistake raises
-    return DistanceMatrix(d)
+    m = DistanceMatrix(d)
+    object.__setattr__(instance, "_matrix", m)
+    return m
 
 
 def cycle_length(order, rows) -> float:
@@ -266,9 +286,10 @@ def run_search(instance: Instance, cfg: Any,
                search: Callable[..., Iterator[tuple[Tour, float, int]]]) -> RunResult:
     """The one run of every metaheuristic: search(instance, cfg, matrix,
     random.Random(cfg.seed)) yields (best tour, best cost, evaluations) at its
-    start and once per iteration; the costs are the history. The last best
-    tour is canonicalized, re-scored with the sequential sum and returned with
-    the run's wall time."""
+    start and once per iteration; the costs are the history. The matrix is
+    the one the instance keeps (build_distance_matrix), shared with every
+    other run on it. The last best tour is canonicalized, re-scored with the
+    sequential sum and returned with the run's wall time."""
     start = time.perf_counter()
     rng = random.Random(cfg.seed)
     m = build_distance_matrix(instance)

@@ -149,6 +149,8 @@ class TestBatchedOperators:
         ranked = np.argsort(np.array(costs, dtype=float), kind="stable")
         winners = tournament_winners(np.array(draws), ranked)
         assert winners.tolist() == [min(row, key=lambda i: (costs[i], i)) for row in draws]
+        work = np.empty(ranked.size, np.intp), np.arange(ranked.size)  # as run_ga keeps them
+        assert tournament_winners(np.array(draws), ranked, work).tolist() == winners.tolist()
 
 
 class TestSwapMutation:

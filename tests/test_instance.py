@@ -1,8 +1,10 @@
+import copy
 import math
+import pickle
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import tspmeta as tm
 from conftest import enumerated_optimal, in_time, random_instance
 from tspmeta.instance import MAX_EXACT_CITIES
+from tspmeta.localsearch import _neighbor_lists
 
 FIVE_CITY_OPT_COST = 15.15298244508295  # exhaustive enumeration over all 12 distinct tours
 FIVE_CITY_ALT_ROUTE_COST = 17.758533720546936  # route (0,1,4,3,2), hand edge sum
@@ -31,6 +34,11 @@ SEARCH_SOLVERS = {
     "ga": (tm.run_ga, tm.GaConfig(population=10, generations=10)),
     "sa": (tm.run_sa, tm.SaConfig(cooling=0.8)),
 }
+
+
+def _equal_copy(inst: tm.Instance) -> tm.Instance:
+    """An instance equal to inst but distinct from it, with no matrix yet."""
+    return tm.Instance(inst.name, inst.cities, inst.metric)
 
 
 class TestBuildDistanceMatrix:
@@ -66,8 +74,11 @@ class TestBuildDistanceMatrix:
         with pytest.raises(ValueError):
             m.d[0, 1] = 0.0
 
-    @pytest.mark.parametrize("solver", SEARCH_SOLVERS)
+    @pytest.mark.parametrize("solver", [*SEARCH_SOLVERS, "two_opt", "three_opt"])
     def test_solvers_leave_their_matrix_intact(self, monkeypatch, solver):
+        """Every later run on an instance reads the matrix, rows and
+        neighbour lists it keeps, so a run may write to none of them: after
+        it they still equal those of an equal but distinct instance."""
         build, built = tm.build_distance_matrix, []
 
         def recording(instance):
@@ -75,12 +86,22 @@ class TestBuildDistanceMatrix:
             return built[-1]
 
         monkeypatch.setattr(tm.instance, "build_distance_matrix", recording)
-        inst = random_instance(random.Random(12), 12)
-        runner, cfg = SEARCH_SOLVERS[solver]
-        runner(inst, cfg)
-        (m,) = built
+        rng = random.Random(12)
+        inst = random_instance(rng, 12)
+        m = build(inst)
+        m.rows(), _neighbor_lists(m)  # built before the run, which reads them
+        if solver in SEARCH_SOLVERS:
+            runner, cfg = SEARCH_SOLVERS[solver]
+            runner(inst, cfg)
+            assert len(built) == 1 and built[0] is m
+        else:
+            getattr(tm, solver)(tm.random_tour(inst.n, rng), m)
+        fresh = build(_equal_copy(inst))
+        assert fresh is not m
         assert not m.d.flags.writeable
-        assert m.d.tobytes() == build(inst).d.tobytes()
+        assert m.d.tobytes() == fresh.d.tobytes()
+        assert m.rows() == fresh.rows()
+        assert _neighbor_lists(m) == _neighbor_lists(fresh)
 
     def test_rounded_metric_is_nearest_integer(self):
         inst = tm.Instance.from_coords(
@@ -98,6 +119,61 @@ class TestBuildDistanceMatrix:
                 for j in range(n):
                     for k in range(n):
                         assert m.d[i][k] <= m.d[i][j] + m.d[j][k] + 1e-9
+
+
+class TestMatrixCache:
+    """build_distance_matrix keeps one matrix on each instance: it may spare
+    later runs the build, and may change nothing else."""
+
+    def test_later_calls_return_the_one_matrix(self, five_city):
+        m = tm.build_distance_matrix(five_city)
+        assert tm.build_distance_matrix(five_city) is m
+        assert tm.build_distance_matrix(_equal_copy(five_city)) is not m
+
+    @pytest.mark.parametrize("solver", SEARCH_SOLVERS)
+    def test_second_search_run_equals_a_first_run(self, solver):
+        runner, cfg = SEARCH_SOLVERS[solver]
+        inst = random_instance(random.Random(21), 12)
+        runner(inst, replace(cfg, seed=1))  # builds the matrix, its rows and neighbour lists
+        second = runner(inst, replace(cfg, seed=2))
+        first = runner(_equal_copy(inst), replace(cfg, seed=2))
+        assert astuple(second)[:-1] == astuple(first)[:-1]  # all but wall_time
+
+    @pytest.mark.parametrize("search", [tm.two_opt, tm.three_opt])
+    def test_second_local_search_equals_a_first_one(self, search):
+        rng = random.Random(22)
+        inst = random_instance(rng, 12)
+        search(tm.random_tour(inst.n, rng), tm.build_distance_matrix(inst))
+        start = tm.random_tour(inst.n, rng)
+        second = search(start, tm.build_distance_matrix(inst))
+        assert second == search(start, tm.build_distance_matrix(_equal_copy(inst)))
+
+    def test_second_exact_solve_equals_a_first_one(self):
+        inst = random_instance(random.Random(23), 9)
+        tm.brute_force_optimal(inst)
+        assert tm.brute_force_optimal(inst) == tm.brute_force_optimal(_equal_copy(inst))
+
+    def test_pickles_and_copies_carry_no_matrix(self, five_city):
+        before = pickle.dumps(five_city)
+        m = tm.build_distance_matrix(five_city)
+        assert pickle.dumps(five_city) == before
+        for clone in (pickle.loads(before), copy.copy(five_city), copy.deepcopy(five_city)):
+            assert clone == five_city
+            assert "_matrix" not in vars(clone)
+            assert tm.build_distance_matrix(clone) is not m
+
+    def test_equality_hash_and_repr_ignore_the_matrix(self, five_city):
+        other = _equal_copy(five_city)
+        before = hash(five_city), repr(five_city)
+        tm.build_distance_matrix(five_city)
+        assert (hash(five_city), repr(five_city)) == before
+        assert five_city == other and hash(five_city) == hash(other)
+
+    def test_replaced_instance_builds_its_own(self, five_city):
+        m = tm.build_distance_matrix(five_city)
+        renamed = replace(five_city, name="x")
+        assert tm.build_distance_matrix(renamed) is not m
+        assert tm.build_distance_matrix(renamed).d.tobytes() == m.d.tobytes()
 
 
 class TestTourLength:
