@@ -414,7 +414,7 @@ def _sa_cold_passes(tour: np.ndarray, flat: np.ndarray, i, j, jn, thresholds, ch
 
 
 def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random.Random):
-    rows = m.rows()
+    rows = m.rows
     n = instance.n
 
     order = list(random_tour(n, rng))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import statistics
 import sys
 import warnings
@@ -104,6 +105,19 @@ class SummaryStats:
     gap_percent: float | None
 
 
+def _check_keys(doc, what: str, keys: str, required=(), optional=()) -> None:
+    """Raise ConfigError unless doc, a spec mapping, is a JSON object with
+    every required key and no key but those and the optional ones."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {keys}(s): {sorted(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{what} is missing {missing[0]!r}")
+
+
 def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | SaConfig:
     """Turn a params mapping (a spec's, or the solve flags given) into the
     config dataclass of that kind, which checks each value's type itself.
@@ -114,13 +128,10 @@ def build_algorithm_config(kind: str, params: dict) -> SwarmConfig | GaConfig | 
     solver = SOLVERS.get(kind) if isinstance(kind, str) else None
     if solver is None:
         raise ConfigError(f"unknown algorithm kind {kind!r} (expected one of {tuple(SOLVERS)})")
-    if not isinstance(params, dict):
-        raise ConfigError(f"{kind} params must be an object, got {params!r}")
-    if "seed" in params:
+    if isinstance(params, dict) and "seed" in params:
         raise ConfigError("per-algorithm 'seed' is not allowed; seeds derive from base_seed")
-    unknown = set(params) - {f.name for f in fields(solver.config_class)}
-    if unknown:
-        raise ConfigError(f"unknown {kind} parameter(s): {sorted(unknown)}")
+    _check_keys(params, f"{kind} params", f"{kind} parameter",
+                optional=[f.name for f in fields(solver.config_class)])
     return solver.config_class(**params)
 
 
@@ -133,22 +144,13 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
             raise ConfigError(f"experiment spec is not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"experiment spec is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment spec must be a JSON object")
-    required = {"instance", "algorithms", "runs_per_algorithm", "base_seed"}
-    unknown = set(doc) - required - {"reference_cost"}
-    if unknown:
-        raise ConfigError(f"unknown experiment spec key(s): {sorted(unknown)}")
-    missing = sorted(required - set(doc))
-    if missing:
-        raise ConfigError(f"experiment spec is missing {missing[0]!r}")
-    algorithms_doc = doc["algorithms"]
-    entries = []
-    if not isinstance(algorithms_doc, list):
+    _check_keys(doc, "experiment spec", "experiment spec key",
+                ("algorithms", "base_seed", "instance", "runs_per_algorithm"), ("reference_cost",))
+    if not isinstance(doc["algorithms"], list):
         raise ConfigError("'algorithms' must be a list")
-    for item in algorithms_doc:
-        if not isinstance(item, dict) or not {"name", "kind"} <= set(item):
-            raise ConfigError("each algorithm needs 'name' and 'kind'")
+    entries = []
+    for item in doc["algorithms"]:
+        _check_keys(item, "algorithm entry", "algorithm key", ("kind", "name"), ("params",))
         config = build_algorithm_config(item["kind"], item.get("params", {}))
         entries.append(AlgorithmEntry(item["name"], config))
     return ExperimentSpec(

@@ -25,6 +25,10 @@ Tour = tuple[int, ...]
 # The exact solver's tables take 2^(n-1)·(n-1)·9 bytes: about 4.4 MB at n = 16.
 MAX_EXACT_CITIES = 16
 
+# How many nearest neighbours of each city the 2-opt and Or-opt sweeps try
+# as the new end of an edge (Bentley, 1992; Johnson & McGeoch, 1997).
+NEIGHBORS = 8
+
 
 class Metric(Enum):
     EUCLIDEAN_EXACT = "euclidean-exact"
@@ -67,6 +71,17 @@ class Instance:
     def n(self) -> int:
         return len(self.cities)
 
+    @functools.cached_property
+    def _matrix(self) -> DistanceMatrix:
+        """The instance's distance matrix (see build_distance_matrix)."""
+        xs = np.array([c.x for c in self.cities], dtype=np.float64)
+        ys = np.array([c.y for c in self.cities], dtype=np.float64)
+        d = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
+        if self.metric is Metric.EUCLIDEAN_ROUNDED:
+            d = np.floor(d + 0.5)
+        d.setflags(write=False)  # a kernel that writes into it by mistake raises
+        return DistanceMatrix(d)
+
     def __getstate__(self):
         """The fields alone: a pickled or copied instance carries no distance
         matrix (see build_distance_matrix) and builds its own."""
@@ -83,26 +98,39 @@ class Instance:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
+    """A read-only (n, n) matrix d and its cached properties rows, largest
+    and neighbors: each is built from d on first use and shared by every run
+    on the matrix's instance, so no caller may write to it."""
     d: np.ndarray  # (n, n) float64, read-only: symmetric, zero diagonal, finite, >= 0
 
     @property
     def n(self) -> int:
         return len(self.d)
 
+    @functools.cached_property
     def rows(self) -> list[list[float]]:
-        """Plain nested lists of the same float64 values, for tight loops.
-        Built on the first call and kept, so they are shared by every run on
-        the matrix's instance: no caller may write to them."""
-        cached = getattr(self, "_rows", None)
-        if cached is None:
-            cached = self.d.tolist()
-            object.__setattr__(self, "_rows", cached)
-        return cached
+        """Plain nested lists of the same float64 values, for tight loops."""
+        return self.d.tolist()
 
     @functools.cached_property
     def largest(self) -> float:
         """The largest distance, as a Python float."""
         return float(self.d.max())
+
+    @functools.cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Each city's min(NEIGHBORS, n-1) nearest other cities, nearest
+        first, ties by city id, as plain lists."""
+        d = self.d.copy()
+        np.fill_diagonal(d, np.inf)  # each city comes after every other
+        cities = np.arange(self.n)
+        picks = np.empty((self.n, min(NEIGHBORS, self.n - 1)), dtype=np.intp)
+        # argmin takes the first of equal minima, so ties go by city id, and
+        # d is finite, so a pick set to inf is never picked again
+        for k in range(picks.shape[1]):
+            picks[:, k] = nearest = d.argmin(axis=1)
+            d[cities, nearest] = np.inf
+        return picks.tolist()
 
 
 def build_distance_matrix(instance: Instance) -> DistanceMatrix:
@@ -111,24 +139,13 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     EUCLIDEAN_EXACT keeps sqrt((xi-xj)^2 + (yi-yj)^2) as-is;
     EUCLIDEAN_ROUNDED applies the TSPLIB EUC_2D convention int(dist + 0.5).
 
-    The matrix is built on the first call and kept on the instance, outside
-    its fields, so every later call returns the same read-only matrix, and
-    its rows, largest distance and neighbour lists are built once per
-    instance and shared by every run on it. A pickled or copied instance
-    leaves it behind and builds its own.
+    The matrix is the instance's cached property _matrix, outside its
+    fields: built on the first call, it is the same read-only matrix at
+    every later one, so its cached rows, largest distance and neighbour
+    lists are built once per instance and shared by every run on it. A
+    pickled or copied instance leaves it behind and builds its own.
     """
-    cached = getattr(instance, "_matrix", None)
-    if cached is not None:
-        return cached
-    xs = np.array([c.x for c in instance.cities], dtype=np.float64)
-    ys = np.array([c.y for c in instance.cities], dtype=np.float64)
-    d = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
-    if instance.metric is Metric.EUCLIDEAN_ROUNDED:
-        d = np.floor(d + 0.5)
-    d.setflags(write=False)  # a kernel that writes into it by mistake raises
-    m = DistanceMatrix(d)
-    object.__setattr__(instance, "_matrix", m)
-    return m
+    return instance._matrix
 
 
 def cycle_length(order, rows) -> float:
@@ -176,7 +193,7 @@ def tour_length(tour: Tour, m: DistanceMatrix) -> float:
     if len(tour) != m.n:
         raise DimensionMismatchError(f"tour has {len(tour)} cities, matrix expects {m.n}")
     validate_tour(tour, m.n)
-    return cycle_length(tour, m.rows())
+    return cycle_length(tour, m.rows)
 
 
 def validate_tour(tour, n: int) -> None:
@@ -287,7 +304,7 @@ def run_search(instance: Instance, cfg: Any,
     """The one run of every metaheuristic: search(instance, cfg, matrix,
     random.Random(cfg.seed)) yields (best tour, best cost, evaluations) at its
     start and once per iteration; the costs are the history. The matrix is
-    the one the instance keeps (build_distance_matrix), shared with every
+    the instance's cached one (build_distance_matrix), shared with every
     other run on it. The last best tour is canonicalized, re-scored with the
     sequential sum and returned with the run's wall time."""
     start = time.perf_counter()

@@ -12,15 +12,11 @@ from collections import deque
 
 import numpy as np
 
-from .instance import DistanceMatrix, Tour, validate_tour
+from .instance import NEIGHBORS, DistanceMatrix, Tour, validate_tour
 
 # A move must beat the incumbent by more than _margin(m), at least this, to be
 # applied; keeps float noise from causing improvement cycles.
 IMPROVEMENT_EPS = 1e-10
-
-# How many nearest neighbours of each city the 2-opt and Or-opt sweeps try
-# as the new end of an edge (Bentley, 1992; Johnson & McGeoch, 1997).
-NEIGHBORS = 8
 
 
 def _margin(m: DistanceMatrix) -> float:
@@ -60,25 +56,6 @@ def _tour_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     k = np.arange(n)
     return (i_prev * n + j_idx, i_idx * n + j_next, i_prev * n + i_idx, k * n + (k + 1) % n,
             j_idx.copy())
-
-
-def _neighbor_lists(m: DistanceMatrix) -> list[list[int]]:
-    """Each city's min(NEIGHBORS, n-1) nearest other cities, nearest first,
-    ties by city id, as plain lists. Cached on m, as m.rows() is."""
-    cached = getattr(m, "_neighbors", None)
-    if cached is None:
-        d = m.d.copy()
-        np.fill_diagonal(d, np.inf)  # each city comes after every other
-        rows = np.arange(m.n)
-        picks = np.empty((m.n, min(NEIGHBORS, m.n - 1)), dtype=np.intp)
-        # argmin takes the first of equal minima, so ties go by city id, and
-        # m.d is finite, so a pick set to inf is never picked again
-        for k in range(picks.shape[1]):
-            picks[:, k] = nearest = d.argmin(axis=1)
-            d[rows, nearest] = np.inf
-        cached = picks.tolist()
-        object.__setattr__(m, "_neighbors", cached)
-    return cached
 
 
 def _tour_positions(t: Tour, n: int) -> tuple[list[int], list[int]]:
@@ -121,8 +98,8 @@ def _neighbor_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     reversing the one of the move's two paths that does not wrap past
     position n-1, and queue its four endpoints again."""
     n = m.n
-    rows = m.rows()
-    near, margin = _neighbor_lists(m), _margin(m)
+    rows = m.rows
+    near, margin = m.neighbors, _margin(m)
     tour, pos = _tour_positions(t, n)
 
     def improving_move(a: int) -> tuple[int, int, int, int, int] | None:
@@ -175,8 +152,8 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     its new place, on the one of the two sides that does not wrap past
     position n-1, and queue the move's six endpoints again."""
     n = m.n
-    rows = m.rows()
-    near, margin = _neighbor_lists(m), _margin(m)
+    rows = m.rows
+    near, margin = m.neighbors, _margin(m)
     tour, pos = _tour_positions(t, n)
     # (direction, length) of each segment from a; at least three cities stay
     # outside it, so that it has a place other than back between p and q
@@ -339,7 +316,7 @@ def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int
     (i, j, k, case) with case the first such reconnection; None if there is
     none. The pure-Python scan, and the reference for _first_improving_block."""
     n = m.n
-    rows, margin = m.rows(), _margin(m)
+    rows, margin = m.rows, _margin(m)
     for i in range(n - 2):
         a, b = order[i], order[i + 1]
         for j in range(i + 1, n - 1):

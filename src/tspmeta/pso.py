@@ -234,7 +234,7 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
     particle's position and pbest and the swarm gbest by the same updates.
     This bounds local-search work to one polish per step.
     """
-    rows = m.rows()
+    rows = m.rows
     w_now = _inertia_now(cfg, state.iteration)
     gbest, gbest_cost = state.gbest, state.gbest_cost
 
@@ -281,7 +281,7 @@ def init_state(instance: Instance, cfg: SwarmConfig, m: DistanceMatrix,
     """Random starting swarm: each particle's initial position is its pbest,
     velocities start empty, gbest is the best initial pbest (the first on
     ties)."""
-    rows = m.rows()
+    rows = m.rows
     tours = (random_tour(instance.n, rng) for _ in range(cfg.n_particles))
     particles = tuple(Particle(tour, (), tour, cycle_length(tour, rows)) for tour in tours)
     best = min(particles, key=lambda p: p.pbest_cost)

@@ -35,8 +35,9 @@ def _scaled_positions(instance: Instance) -> list[tuple[float, float]]:
     y flipped so larger y is drawn higher."""
     xs = [c.x for c in instance.cities]
     ys = [c.y for c in instance.cities]
-    span_x = max(xs) - min(xs)
-    span_y = max(ys) - min(ys)
+    min_x, min_y = min(xs), min(ys)
+    span_x = max(xs) - min_x
+    span_y = max(ys) - min_y
     avail_w = WIDTH - 2 * MARGIN
     avail_h = HEIGHT - 2 * MARGIN
     # a span too small to divide by (zero, or one whose scale overflows to
@@ -48,8 +49,8 @@ def _scaled_positions(instance: Instance) -> list[tuple[float, float]]:
     off_x = MARGIN + (avail_w - span_x * scale) / 2
     off_y = MARGIN + (avail_h - span_y * scale) / 2
     return [
-        (off_x + (c.x - min(xs)) * scale,
-         HEIGHT - (off_y + (c.y - min(ys)) * scale))
+        (off_x + (c.x - min_x) * scale,
+         HEIGHT - (off_y + (c.y - min_y) * scale))
         for c in instance.cities
     ]
 

@@ -72,7 +72,7 @@ def enumerated_optimal(instance: tm.Instance) -> tuple[tm.Tour, float]:
     """
     n = instance.n
     m = tm.build_distance_matrix(instance)
-    rows = m.rows()
+    rows = m.rows
     if n == 1:
         return (0,), 0.0
     if n == 2:

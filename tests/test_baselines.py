@@ -138,7 +138,7 @@ class TestBatchedOperators:
         m = tm.build_distance_matrix(inst)
         tours = [tm.random_tour(n, rng) for _ in range(count)]
         orders = np.array(tours, dtype=np.intp).reshape(count, n)
-        expected = [cycle_length(t, m.rows()) for t in tours]
+        expected = [cycle_length(t, m.rows) for t in tours]
         assert cycle_lengths(orders, m.d).tolist() == expected
         work = np.empty((count, n), np.intp), np.empty((count, n))
         assert cycle_lengths(orders, m.d, work).tolist() == expected
@@ -341,7 +341,7 @@ def reference_sa(instance, cfg):
     of reversals built by hand and each threshold sa_thresholds of the
     block's uniforms at its own level's temperature."""
     m = tm.build_distance_matrix(instance)
-    rows, n = m.rows(), instance.n
+    rows, n = m.rows, instance.n
     rng = random.Random(cfg.seed)
     order = list(tm.random_tour(n, rng))
     current = cycle_length(order, rows)
@@ -599,7 +599,7 @@ class TestColdLevels:
         m, order, (i, j, jn, _) = case
         flat, tour = m.d.ravel(), np.array(order)
         for p in range(len(i)):
-            delta = scalar_delta(m.rows(), order, int(i[p]), int(j[p]), int(jn[p]))
+            delta = scalar_delta(m.rows, order, int(i[p]), int(j[p]), int(jn[p]))
             one = (i[p:p + 1], j[p:p + 1], jn[p:p + 1])
             assert not list(_sa_cold_passes(tour.copy(), flat, *one, np.array([delta]), 1))
             assert list(_sa_cold_passes(tour.copy(), flat, *one,
@@ -610,7 +610,7 @@ class TestColdLevels:
               (*reversal_table(52), np.full(1325, 0.0))), 1)
     def test_passes_are_the_scalar_loops(self, case, chunk):
         m, order, stretch = case
-        rows, tour = m.rows(), np.array(order)
+        rows, tour = m.rows, np.array(order)
         got = in_time(list, _sa_cold_passes(tour, m.d.ravel(), *stretch, chunk))
         expected = []
         for i, j, jn, threshold in zip(*(column.tolist() for column in stretch)):

@@ -310,6 +310,22 @@ class TestLoadExperimentSpec:
             tm.load_experiment_spec(p)
 
 
+    # each once ignored: the first ran default SA, the second the base seed's
+    @pytest.mark.parametrize("entry, problem", [
+        ({"name": "sa", "kind": "sa", "parms": {"cooling": 0.5}},
+         "unknown algorithm key(s): ['parms']"),
+        ({"name": "sa", "kind": "sa", "seed": 3}, "unknown algorithm key(s): ['seed']"),
+        ("sa", "algorithm entry must be a JSON object, got 'sa'"),
+        ({"name": "sa"}, "algorithm entry is missing 'kind'"),
+    ], ids=["misspelled-params", "entry-seed", "bare-string", "no-kind"])
+    def test_bad_algorithm_entry(self, tmp_path, entry, problem):
+        doc = {"instance": "builtin-paper", "runs_per_algorithm": 1, "base_seed": 0,
+               "algorithms": [entry]}
+        with pytest.raises(tm.ConfigError) as raised:
+            tm.load_experiment_spec(write_spec(tmp_path, doc))
+        assert str(raised.value) == problem
+
+
 class TestSummarize:
     def test_reference_cost_vector_fixture(self):
         # pure arithmetic fixture over the costs {12.5, 13.0, 12.8, 12.3, 12.6}

@@ -276,6 +276,20 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("entry, problem", [
+        ({"name": "sa", "kind": "sa", "parms": {"cooling": 0.5}}, "['parms']"),
+        ({"name": "sa", "kind": "sa", "seed": 3}, "['seed']"),
+        ("sa", "must be a JSON object"),
+    ], ids=["misspelled-params", "entry-seed", "bare-string"])
+    def test_bad_algorithm_entry_exits_2(self, tmp_path, capsys, entry, problem):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"instance": "builtin-paper", "runs_per_algorithm": 1,
+                                    "base_seed": 0, "algorithms": [entry]}))
+        assert main(["bench", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert problem in captured.err
+
     @pytest.mark.parametrize("instance", ["\ud800.csv", "a\x00b.csv"],
                              ids=["lone-surrogate", "null-byte"])
     def test_instance_path_no_file_can_have_exits_2(self, tmp_path, capsys, instance):
@@ -561,7 +575,8 @@ class TestImportFootprint:
         code = ("import sys, numpy; before = set(sys.modules); import tspmeta; "
                 "print(*sorted(set(sys.modules) - before))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin"})
+                              env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin",
+                                   "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
         assert "tspmeta" in added
@@ -574,6 +589,7 @@ class TestModuleEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "tspmeta", "exact", "--builtin-paper"],
             capture_output=True, text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin"})
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin",
+                 "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0
         assert "optimal cost: 15.15298" in proc.stdout

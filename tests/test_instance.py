@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import tspmeta as tm
 from conftest import enumerated_optimal, in_time, random_instance
 from tspmeta.instance import MAX_EXACT_CITIES
-from tspmeta.localsearch import _neighbor_lists
 
 FIVE_CITY_OPT_COST = 15.15298244508295  # exhaustive enumeration over all 12 distinct tours
 FIVE_CITY_ALT_ROUTE_COST = 17.758533720546936  # route (0,1,4,3,2), hand edge sum
@@ -89,7 +88,7 @@ class TestBuildDistanceMatrix:
         rng = random.Random(12)
         inst = random_instance(rng, 12)
         m = build(inst)
-        m.rows(), _neighbor_lists(m)  # built before the run, which reads them
+        m.rows, m.neighbors  # built before the run, which reads them
         if solver in SEARCH_SOLVERS:
             runner, cfg = SEARCH_SOLVERS[solver]
             runner(inst, cfg)
@@ -100,8 +99,8 @@ class TestBuildDistanceMatrix:
         assert fresh is not m
         assert not m.d.flags.writeable
         assert m.d.tobytes() == fresh.d.tobytes()
-        assert m.rows() == fresh.rows()
-        assert _neighbor_lists(m) == _neighbor_lists(fresh)
+        assert m.rows == fresh.rows
+        assert m.neighbors == fresh.neighbors
 
     def test_rounded_metric_is_nearest_integer(self):
         inst = tm.Instance.from_coords(
@@ -168,6 +167,21 @@ class TestMatrixCache:
         tm.build_distance_matrix(five_city)
         assert (hash(five_city), repr(five_city)) == before
         assert five_city == other and hash(five_city) == hash(other)
+
+    def test_caches_are_named_and_kept_by_their_owners(self):
+        """Every cache is a cached property of the object that keeps it: a
+        matrix holds d and its own caches, and an instance its fields and
+        _matrix, whatever has run on them."""
+        rng = random.Random(24)
+        inst = random_instance(rng, 12)
+        m = tm.build_distance_matrix(inst)
+        for runner, cfg in SEARCH_SOLVERS.values():
+            runner(inst, cfg)
+        tm.three_opt(tm.two_opt(tm.random_tour(inst.n, rng), m), m)
+        tm.tour_length(tm.brute_force_optimal(inst)[0], m)
+        tm.render_tour_svg(inst, tm.random_tour(inst.n, rng))
+        assert set(vars(m)) <= {"d", "rows", "largest", "neighbors"}
+        assert set(vars(inst)) == {"name", "cities", "metric", "_matrix"}
 
     def test_replaced_instance_builds_its_own(self, five_city):
         m = tm.build_distance_matrix(five_city)

@@ -17,7 +17,7 @@ from tspmeta import localsearch
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import (IMPROVEMENT_EPS, NEIGHBORS, SWEEP_AND_BLOCK_MIN_N,
                                   _first_improving_block, _first_improving_move,
-                                  _neighbor_lists, _neighbor_sweep, _or_opt_sweep,
+                                  _neighbor_sweep, _or_opt_sweep,
                                   _three_opt_deltas, _three_opt_offsets, _three_opt_rebuild,
                                   _three_opt_scans, _tour_offsets, _two_opt_passes,
                                   reversal_table)
@@ -214,12 +214,12 @@ def test_two_opt_returns_a_shorter_or_equal_two_opt_optimum(n, grid, seed):
 @given(st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
 def test_neighbor_lists_are_the_nearest_cities_ties_by_id(n, grid, seed):
     m = tm.build_distance_matrix(uniform_or_grid_instance(random.Random(seed), n, grid))
-    rows = m.rows()
+    rows = m.rows
     k = min(NEIGHBORS, n - 1)
     expected = [sorted((c for c in range(n) if c != r), key=lambda c: (rows[r][c], c))[:k]
                 for r in range(n)]
-    assert _neighbor_lists(m) == expected
-    assert _neighbor_lists(m) is _neighbor_lists(m)
+    assert m.neighbors == expected
+    assert m.neighbors is m.neighbors
 
 
 @given(st.integers(2, 150))
@@ -315,7 +315,7 @@ class TestThreeOpt:
         rng = random.Random(2027)
         for n in range(3, 13):
             for _ in range(3):
-                rows = tm.build_distance_matrix(random_instance(rng, n)).rows()
+                rows = tm.build_distance_matrix(random_instance(rng, n)).rows
                 order = list(tm.random_tour(n, rng))
                 length = cycle_length(order, rows)
                 for i, j, k in itertools.combinations(range(n), 3):

@@ -58,7 +58,7 @@ def reference_step(state, cfg, m, rng):
     """step as it was before particles at rest on gbest skipped their move:
     every particle moves and is evaluated. step must equal it exactly, stream
     state included."""
-    rows = m.rows()
+    rows = m.rows
     w_now = _inertia_now(cfg, state.iteration)
     gbest, gbest_cost = state.gbest, state.gbest_cost
 
@@ -96,7 +96,7 @@ def collapsed_swarm(inst, m, n_particles, rng):
     """A hand-built swarm around a random gbest g: each particle at rest on
     g, just arrived on g with a velocity, drawn towards g as its pbest, or
     anywhere. Every stored cost is cycle_length of its tour, as in a run."""
-    n, rows = inst.n, m.rows()
+    n, rows = inst.n, m.rows
     g = tm.random_tour(n, rng)
     particles = []
     for _ in range(n_particles):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -7,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tspmeta as tm
+from conftest import in_time
+from tspmeta.svgplot import _scaled_positions
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -63,6 +67,18 @@ class TestRenderTourSvg:
         for c in root.findall(f"{SVG_NS}circle"):
             assert 40 - 1e-9 <= float(c.get("cx")) <= 760 + 1e-9
             assert 40 - 1e-9 <= float(c.get("cy")) <= 560 + 1e-9
+
+    def test_berlin52_optimum_keeps_its_bytes(self, berlin52):
+        tour = tm.packaged_opt_tour("berlin52", berlin52.n)
+        svg = tm.render_tour_svg(berlin52, tour).encode()
+        assert hashlib.sha256(svg).hexdigest() == \
+            "ee154f1ba2ae43598987755c5b49d8295b6602b8f16e939b354db661e30f5e58"
+
+    def test_positions_take_linear_time(self):
+        # each city once took min(xs) and min(ys) afresh: 12.9 s at 20,000
+        rng = random.Random(20000)
+        inst = tm.Instance.from_coords("u", [(rng.random(), rng.random()) for _ in range(20000)])
+        assert len(in_time(_scaled_positions, inst, seconds=2)) == 20000
 
     def test_a_span_too_small_to_scale_is_drawn_centred(self):
         # 720 / 1e-320 overflows to inf, and (x - min) * inf is nan at x = min
