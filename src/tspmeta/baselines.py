@@ -351,14 +351,28 @@ def run_sa(instance: Instance, cfg: SaConfig) -> RunResult:
     to be recorded, so it is kept pending; a comparison the bound cannot
     decide re-scores the pending tour, then the current one, at once.
 
-    Each level runs one of two paths. The first level, and any level whose
+    Each level runs one of three paths. The first level, and any level whose
     previous level accepted moves at least once per SA_COLD_GAP proposals
     (iters // (accepts + 1) < SA_COLD_GAP), runs the scalar loop over the
     block's columns as lists: one proposal at a time, through sa_accept. A
     colder level is scored in numpy chunks of twice that gap
     (_sa_cold_passes), which drops the rejected proposals in bulk, and the
-    loop runs only on those that pass. Both sum each delta in the same
-    order, so the result is the same bit for bit.
+    loop runs only on those that pass. Default levels at up to 9 cities
+    never run in numpy: they hold n * n <= 81 < SA_COLD_GAP proposals, and
+    the two reversals of n - 1 cities, which only reflect the cycle and
+    change its length by a rounding error at most, are accepted every few
+    proposals even when nothing else is.
+
+    In a run whose levels hold at least as many proposals as there are
+    reversals, a scalar level whose previous level accepted no move that
+    changed the cycle, only reflections, is screened (_sa_screened): the
+    least delta of any reversal of the current cycle but the reflections
+    (_sa_floor), computed in numpy once per cycle, rejects every proposal
+    whose threshold is at most it, and the loop runs only on the rest and
+    the reflections. Accepting a reflection keeps the cycle and so the floor;
+    once the level accepts a move that changes the cycle, the rest of it
+    runs unscreened. Every path sums each delta in the same order, so the
+    result is the same bit for bit.
     """
     return run_search(instance, cfg, _sa_search)
 
@@ -379,6 +393,73 @@ def _sa_proposals(gen: np.random.Generator, table, temps: list, iters: int):
         yield (*(column[k] for column in table), thresholds)
 
 
+def _reversal_ends(i, j, jn) -> np.ndarray:
+    """The tour positions of the ends of the four edges of reversals (i, j)
+    with jn = (j + 1) % n, as an (8, len(i)) array: a, b, a, c, then c, e,
+    b, e, so that _edge_lengths gives ac, be, ab and ce."""
+    return np.stack((i - 1, i, i - 1, j, j, jn, i, jn))
+
+
+def _edge_lengths(tour: np.ndarray, flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The four distances ac, be, ab and ce of each reversal whose
+    _reversal_ends are ends, in tour, from flat, the distance matrix's flat
+    view, as a (4, k) array."""
+    cities = tour.take(ends)
+    edges, heads = cities[:4], cities[4:]
+    edges *= len(tour)
+    edges += heads
+    return flat.take(edges)
+
+
+@functools.lru_cache(maxsize=8)
+def _floor_ends(n: int) -> np.ndarray:
+    """The _reversal_ends of every reversal_table(n) entry but the two that
+    only reflect the cycle (j - i == n - 2). Cached for a few sizes, like
+    reversal_table, and built only once a run screens a level. Left
+    writeable, since ndarray.take copies a read-only index array on every
+    call, so no caller may write to it."""
+    table = reversal_table(n)
+    return _reversal_ends(*(column[table[1] - table[0] != n - 2] for column in table))
+
+
+def _sa_floor(tour: np.ndarray, flat: np.ndarray) -> float:
+    """The least delta of any reversal of the cycle tour, read from any city
+    in either direction, but the two that only reflect it. Such a reversal,
+    in any reading, removes and adds the same four edges as one of the
+    _floor_ends entries in tour or as its complement. The distances are
+    exactly symmetric and + commutes, so its delta is one of the two sums
+    taken here for that entry: ((ac + be) - ab) - ce, or ((ac + be) - ce) -
+    ab where ab and ce swap roles. At 3 cities every reversal reflects the
+    cycle; the largest float then stands for the least of none."""
+    ac, be, ab, ce = _edge_lengths(tour, flat, _floor_ends(len(tour)))
+    added = ac + be
+    return float(min((added - ab - ce).min(initial=sys.float_info.max),
+                     (added - ce - ab).min(initial=sys.float_info.max)))
+
+
+def _sa_screened(order: list, floor: float, keys: np.ndarray, columns: list, at: int,
+                 stop: int):
+    """The proposals at..stop - 1 of a block, given as lists i, j, jn and
+    threshold (columns), that the scalar loop must score, as (i, j, jn,
+    threshold) tuples: those whose key, the threshold or inf for the two
+    reflections, exceeds floor (_sa_floor of the current cycle). Any other
+    has a delta of at least floor and a threshold of at most floor, so it
+    fails delta < threshold and changes nothing. Once the loop accepts a
+    move that changes the cycle (it has reversed it in order by the time
+    the next proposal is asked for), floor no longer holds, and every
+    proposal after it is yielded."""
+    ci, cj, cjn, ct = columns
+    flip = len(order) - 2
+    for p in (keys[at:stop] > floor).nonzero()[0].tolist():
+        p += at
+        i, j = ci[p], cj[p]
+        city = order[i]
+        yield i, j, cjn[p], ct[p]
+        if j - i != flip and order[i] != city:
+            yield from zip(ci[p + 1:stop], cj[p + 1:stop], cjn[p + 1:stop], ct[p + 1:stop])
+            return
+
+
 def _sa_cold_passes(tour: np.ndarray, flat: np.ndarray, i, j, jn, thresholds, chunk: int):
     """The proposals of a stretch (arrays i, j, jn and thresholds) that pass,
     in order, as (i, j, jn, threshold) tuples. The deltas of chunk proposals
@@ -387,17 +468,11 @@ def _sa_cold_passes(tour: np.ndarray, flat: np.ndarray, i, j, jn, thresholds, ch
     is reversed into tour and yielded, and scoring resumes right after it.
     Each delta is summed in the scalar loop's order, ((ac + be) - ab) - ce,
     so it is the same float and the same proposals pass."""
-    n = len(tour)
-    # tour positions of the four edges' ends: a, b, a, c, then c, e, b, e
-    ends = np.stack((i - 1, i, i - 1, j, j, jn, i, jn))
+    ends = _reversal_ends(i, j, jn)
     start, size = 0, len(i)
     while start < size:
         part = slice(start, min(start + chunk, size))
-        cities = tour.take(ends[:, part])
-        edges, heads = cities[:4], cities[4:]
-        edges *= n
-        edges += heads
-        ac, be, ab, ce = flat.take(edges)
+        ac, be, ab, ce = _edge_lengths(tour, flat, ends[:, part])
         delta = ac + be
         delta -= ab
         delta -= ce
@@ -448,12 +523,27 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
     unit = SA_DRIFT_ULPS * 2.0 ** -53 * m.largest  # the slack's unit; see SA_DRIFT_ULPS
     # A cursor on the run's one stream of proposal blocks: the current block,
     # its columns as lists ci, cj, cjn and ct (made on the first scalar stretch
-    # that reads it), its next proposal's index `at` and its length `end`.
+    # that reads it) and its keys for _sa_screened (on the first screened
+    # one), its next proposal's index `at` and its length `end`.
     blocks, at, end = _sa_proposals(gen, table, temps, iters), 0, 0
-    accepts = iters  # the first level runs scalar
+    flip = n - 2  # j - i of the two reversals that only reflect the cycle
+    # A scalar level is screened (_sa_screened) when the level before it
+    # accepted no move that changed the cycle, if a level holds at least as
+    # many proposals as a floor reads reversals: with 7 proposals per level
+    # at 1000 uniform cities, the floors made a default run 17 times slower.
+    # floor is _sa_floor of the current cycle, computed once per cycle, or
+    # None once the cycle changed.
+    screens = iters >= len(table[0])
+    floor, moved = None, True
+    accepts = iters  # the first level runs scalar, unscreened
     for _ in temps:
         gap = iters // (accepts + 1)  # the previous level's mean proposals per accept
-        accepts = 0
+        if moved:
+            floor = None
+        screened = screens and gap < SA_COLD_GAP and not moved
+        if screened and floor is None:
+            floor = _sa_floor(np.array(order), flat)
+        accepts, moved = 0, False
         # The exact cost of the best so far lies in [low, high]: it is
         # best_cost, or that of the pending tour, a new best made certain by
         # the drift bound, held as (tour, accepts) and re-scored at the level's end
@@ -462,7 +552,7 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
         left = iters
         while left:
             if at == end:
-                block, ci, at = next(blocks), None, 0
+                block, ci, keys, at = next(blocks), None, None, 0
                 end = len(block[0])
             stop = min(end, at + left)
             if tour is not None:  # only its passing proposals, scored in numpy
@@ -470,8 +560,13 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
                                           2 * gap)
             else:
                 if ci is None:
-                    ci, cj, cjn, ct = (column.tolist() for column in block)
-                stretch = zip(ci[at:stop], cj[at:stop], cjn[at:stop], ct[at:stop])
+                    ci, cj, cjn, ct = columns = [column.tolist() for column in block]
+                if screened and not moved:  # the floor still holds
+                    if keys is None:
+                        keys = np.where(block[1] - block[0] == flip, np.inf, block[3])
+                    stretch = _sa_screened(order, floor, keys, columns, at, stop)
+                else:
+                    stretch = zip(ci[at:stop], cj[at:stop], cjn[at:stop], ct[at:stop])
             left, at = left - (stop - at), stop
             for i, j, jn, threshold in stretch:
                 a, b, c, e = order[i - 1], order[i], order[j], order[jn]
@@ -480,6 +575,8 @@ def _sa_search(instance: Instance, cfg: SaConfig, m: DistanceMatrix, rng: random
                     order[i:j + 1] = order[i:j + 1][::-1]
                     current += delta
                     accepts += 1
+                    if j - i != flip:
+                        moved = True
                     if current < high:
                         slack = unit * (n * n + accepts * (n + 4))
                         if current + slack < low:  # so cycle_length(order) < low: a new best

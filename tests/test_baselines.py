@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tspmeta as tm
 from tspmeta import baselines
 from conftest import in_time, random_instance
-from tspmeta.baselines import (SA_BLOCK, SA_COLD_GAP, _sa_cold_passes, _sa_proposals,
+from tspmeta.baselines import (SA_BLOCK, SA_COLD_GAP, _sa_cold_passes, _sa_floor, _sa_proposals,
                                order_crossover_rows, sa_thresholds, swap_mutation_rows,
                                tournament_winners)
 from tspmeta.errors import MAX_POPULATION, MAX_TEMPERATURE_LEVELS
@@ -333,13 +333,15 @@ class TestSaAccept:
         assert peak < 8e6
 
 
-def reference_sa(instance, cfg):
+def reference_sa(instance, cfg, levels=None):
     """run_sa one proposal at a time, as (best tour, best cost, iterations,
     history, evaluations): the same draws from a Generator seeded the same
     way (one stream for the whole run, in blocks of up to 2**12 proposals:
     proposal indices, then as many uniforms), each index looked up in a list
     of reversals built by hand and each threshold sa_thresholds of the
-    block's uniforms at its own level's temperature."""
+    block's uniforms at its own level's temperature. levels, if given, gets
+    each level's (accepted moves, whether one of them changed the cycle):
+    every reversal but the two of n - 1 cities, which only reflect it."""
     m = tm.build_distance_matrix(instance)
     rows, n = m.rows, instance.n
     rng = random.Random(cfg.seed)
@@ -374,11 +376,13 @@ def reference_sa(instance, cfg):
                     thresholds[level] = sa_thresholds(temps[level], u)
                 proposals.append((*pairs[k], thresholds[level][p - done]))
         for level in range(len(temps)):
+            accepts, moved = 0, False
             for i, j, threshold in proposals[level * iters:(level + 1) * iters]:
                 change = delta(i, j)
                 evaluations += 1
                 if change < threshold:
                     order[i:j + 1] = reversed(order[i:j + 1])
+                    accepts, moved = accepts + 1, moved or j - i + 1 != n - 1
                     current += change
                     if current < best_cost:
                         actual = cycle_length(order, rows)
@@ -386,6 +390,8 @@ def reference_sa(instance, cfg):
                             best_tour, best_cost = tuple(order), actual
             current = cycle_length(order, rows)
             history.append(best_cost)
+            if levels is not None:
+                levels.append((accepts, moved))
     best_tour = tm.canonicalize(best_tour)
     return best_tour, cycle_length(best_tour, rows), len(history) - 1, tuple(history), evaluations
 
@@ -434,46 +440,68 @@ def test_each_proposal_gets_its_levels_threshold(iters, levels):
 
 class PathLog:
     """Records which path scores each proposal of run_sa: one ("scalar", 1,
-    passed) event per sa_accept call outside a cold stretch, one ("cold",
-    proposals, passes) event per stretch _sa_cold_passes scores. The run
-    calls sa_accept on each cold pass too, and every call is counted."""
+    passed) event per sa_accept call outside a cold or screened stretch, and
+    one ("cold", proposals, passes) event per stretch _sa_cold_passes scores
+    and one ("screened", proposals, passes) per stretch _sa_screened
+    screens, counting the proposals it skips. The run calls sa_accept on
+    each cold pass and each screened proposal too, and every call is
+    counted."""
 
     def __init__(self, monkeypatch):
-        self.events, self.accept_calls, self.stretch_passes = [], 0, None
-        accept, passes = baselines.sa_accept, baselines._sa_cold_passes
+        self.events, self.accept_calls = [], 0
+        self.stretch, self.stretch_passes = None, 0  # the path of the stretch being scored
+        accept, passes, screened = (baselines.sa_accept, baselines._sa_cold_passes,
+                                    baselines._sa_screened)
 
         def counted_accept(delta, threshold):
             self.accept_calls += 1
             out = accept(delta, threshold)
-            if self.stretch_passes is None:
+            if self.stretch is None:
                 self.events.append(("scalar", 1, int(out)))
             else:
-                assert out  # the scalar rule passes what the cold stretch passed
+                assert out or self.stretch == "screened"  # the scalar rule passes what cold passed
+                self.stretch_passes += out
             return out
 
-        def counted_passes(tour, flat, i, *rest):
-            self.stretch_passes = 0
-            for proposal in passes(tour, flat, i, *rest):
-                self.stretch_passes += 1
-                yield proposal
-            self.events.append(("cold", len(i), self.stretch_passes))
-            self.stretch_passes = None
+        def logged(path, proposals, stretch):
+            self.stretch, self.stretch_passes = path, 0
+            yield from stretch
+            self.events.append((path, proposals, self.stretch_passes))
+            self.stretch = None
 
         monkeypatch.setattr(baselines, "sa_accept", counted_accept)
-        monkeypatch.setattr(baselines, "_sa_cold_passes", counted_passes)
+        monkeypatch.setattr(baselines, "_sa_cold_passes", lambda tour, flat, i, *rest: logged(
+            "cold", len(i), passes(tour, flat, i, *rest)))
+        monkeypatch.setattr(baselines, "_sa_screened", lambda *args: logged(
+            "screened", args[-1] - args[-2], screened(*args)))
 
     def levels(self, iters: int) -> list[tuple[str, int]]:
-        """(path, accepts) of each level, checking that one path scored it all."""
+        """(path, accepts) of each level, checking that one path scored it
+        all, but that a screened level whose floor went stale goes on scalar
+        in the next block."""
         levels, path, proposals, accepts = [], None, 0, 0
         for kind, count, passed in self.events:
-            assert path in (None, kind)
-            path, proposals, accepts = kind, proposals + count, accepts + passed
+            assert path in (None, kind) or (path, kind) == ("screened", "scalar")
+            path, proposals, accepts = path or kind, proposals + count, accepts + passed
             assert proposals <= iters
             if proposals == iters:
                 levels.append((path, accepts))
                 path, proposals, accepts = None, 0, 0
         assert proposals == 0
         return levels
+
+
+def expected_paths(levels, iters: int, screens: bool = True) -> list[tuple[str, int]]:
+    """(path, accepts) of each level of a run_sa run of levels of iters
+    proposals, from reference_sa's levels: the first level runs scalar; a
+    later one runs cold when the level before it accepted a move less often
+    than once in SA_COLD_GAP proposals, else screened when that level
+    accepted no move that changed the cycle and the run screens, else
+    scalar."""
+    paths = ["scalar"] + ["cold" if iters // (accepts + 1) >= baselines.SA_COLD_GAP else
+                          "screened" if screens and not moved else "scalar"
+                          for accepts, moved in levels[:-1]]
+    return [(path, accepts) for path, (accepts, _) in zip(paths, levels)]
 
 
 @st.composite
@@ -555,11 +583,10 @@ class TestColdLevels:
         log = PathLog(monkeypatch)
         result = tm.run_sa(instance, cfg)
         iters = cfg.iters_per_temp or instance.n ** 2
-        levels = log.levels(iters)
+        levels, moves = log.levels(iters), []
         assert len(levels) == result.iterations_run
-        assert levels[0][0] == "scalar"
-        for (_, accepts), (path, _) in zip(levels, levels[1:]):
-            assert path == ("cold" if iters // (accepts + 1) >= SA_COLD_GAP else "scalar")
+        reference_sa(instance, cfg, moves)
+        assert levels == expected_paths(moves, iters)
         assert any(path == "cold" for path, _ in levels) == (iters >= SA_COLD_GAP)
 
     @given(hand_offs())
@@ -580,10 +607,12 @@ class TestColdLevels:
         instance = random_instance(random.Random(1), 12)
         cfg = tm.SaConfig(initial_temp=0.1, cooling=0.9, min_temp=1e-3, iters_per_temp=1000,
                           seed=1)
-        result = tm.run_sa(instance, cfg)
+        result, moves = tm.run_sa(instance, cfg), []
         assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
-                result.evaluations) == reference_sa(instance, cfg)
-        paths = [path for path, _ in log.levels(1000)]
+                result.evaluations) == reference_sa(instance, cfg, moves)
+        levels = log.levels(1000)
+        assert levels == expected_paths(moves, 1000)
+        paths = [path for path, _ in levels]
         flips = {(paths[level - 1], paths[level], level * 1000 % SA_BLOCK > 0,
                   level * 1000 // SA_BLOCK < ((level + 1) * 1000 - 1) // SA_BLOCK)
                  for level in range(1, len(paths)) if paths[level - 1] != paths[level]}
@@ -619,6 +648,111 @@ class TestColdLevels:
                 expected.append((i, j, jn, threshold))
         assert got == expected
         assert tour.tolist() == order
+
+
+def grid_or_uniform(rng, n: int, grid: bool) -> tm.Instance:
+    """n uniform cities in the unit square, or on a rounded 5 x 5 grid, whose
+    integer distances tie often."""
+    if grid:
+        return tm.Instance.from_coords(
+            "grid", [(rng.randrange(5), rng.randrange(5)) for _ in range(n)],
+            tm.Metric.EUCLIDEAN_ROUNDED)
+    return random_instance(rng, n)
+
+
+@st.composite
+def cycles(draw):
+    """A matrix of 4-14 uniform or grid cities and a random order of them."""
+    n, seed = draw(st.integers(4, 14)), draw(st.integers(0, 2 ** 32 - 1))
+    rng = random.Random(seed)
+    m = tm.build_distance_matrix(grid_or_uniform(rng, n, draw(st.booleans())))
+    return m, list(tm.random_tour(n, rng))
+
+
+class TestScreenedLevels:
+    @given(cycles())
+    def test_the_floor_is_the_least_delta_of_every_reading_of_the_cycle(self, case):
+        # every rotation of the order, read both ways: every reversal but the
+        # two of n - 1 cities (j - i == n - 2) changes the cycle's edges, and
+        # its scalar delta is at least the floor, which one of them equals
+        m, order = case
+        n, table = len(order), [column.tolist() for column in reversal_table(len(order))]
+
+        def edges(cycle):
+            return {frozenset(pair) for pair in zip(cycle, cycle[1:] + cycle[:1])}
+
+        floor = _sa_floor(np.array(order), m.d.ravel())
+        deltas = []
+        for start in range(n):
+            for reading in (order[start:] + order[:start], order[start::-1] + order[:start:-1]):
+                for i, j, jn in zip(*table):
+                    reversed_ = reading[:i] + reading[i:j + 1][::-1] + reading[j + 1:]
+                    assert (edges(reversed_) == edges(reading)) == (j - i == n - 2)
+                    if j - i != n - 2:
+                        deltas.append(scalar_delta(m.rows, reading, i, j, jn))
+        assert min(deltas) == floor
+
+    @given(st.integers(3, 12), st.booleans(), st.sampled_from([None, 1, 7]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40)
+    def test_default_runs_equal_the_reference(self, n, grid, iters, seed):
+        # the result and each level's path and accepted moves
+        instance = grid_or_uniform(random.Random(seed), n, grid)
+        cfg = tm.SaConfig(iters_per_temp=iters, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            log = PathLog(mp)
+            result = in_time(tm.run_sa, instance, cfg, seconds=30.0)
+        moves, iters = [], iters or n * n
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg, moves)
+        assert log.levels(iters) == expected_paths(moves, iters, iters >= n * (n - 1) // 2 - 1)
+
+    def test_a_move_that_changes_the_cycle_ends_the_screening_of_its_level(self, monkeypatch):
+        # default SA at 9 cities, seed 0, found by instrumenting _sa_screened:
+        # screened levels accept moves that change the cycle, and in one of
+        # them a block ends after that move, so the level goes on scalar in
+        # the next block; each such level's next runs scalar, unscreened
+        log = PathLog(monkeypatch)
+        instance, cfg = random_instance(random.Random(0), 9), tm.SaConfig(seed=0)
+        result, moves = tm.run_sa(instance, cfg), []
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg, moves)
+        levels = log.levels(81)
+        assert levels == expected_paths(moves, 81)
+        stale = [level for level, ((path, _), (_, moved)) in enumerate(zip(levels, moves))
+                 if path == "screened" and moved]
+        assert len(stale) > 10
+        paths, done = [[]], 0  # each level's stretch paths
+        for kind, count, _ in log.events:
+            paths[-1].append(kind)
+            done += count
+            if done == 81:
+                paths, done = paths + [[]], 0
+        assert any(path[0] == "screened" and "scalar" in path for path in paths)
+        assert sum(count for kind, count, _ in log.events if kind == "screened") > \
+               (result.evaluations - 1) // 3
+
+    @pytest.mark.parametrize("n, iters, screens", [(9, 34, False), (9, 35, True), (300, 7, False)])
+    def test_only_levels_as_long_as_the_reversal_table_are_screened(self, monkeypatch, n, iters,
+                                                                    screens):
+        # a floor reads every one of the n(n-1)/2 - 1 reversals; screening
+        # levels of 7 proposals at 1000 cities made a run 17 times slower
+        log = PathLog(monkeypatch)
+        instance, cfg = random_instance(random.Random(n), n), tm.SaConfig(iters_per_temp=iters)
+        result, moves = tm.run_sa(instance, cfg), []
+        assert (result.best_tour, result.best_cost, result.iterations_run, result.cost_history,
+                result.evaluations) == reference_sa(instance, cfg, moves)
+        assert ("screened" in {kind for kind, _, _ in log.events}) == screens
+        assert log.levels(iters) == expected_paths(moves, iters, screens)
+
+    def test_the_benchmark_schedule_on_berlin52_never_screens(self, monkeypatch, berlin52):
+        # 2 of its 1325 reversals reflect the cycle, so a level of 1500
+        # proposals that accepts only those runs in numpy, never screened
+        log = PathLog(monkeypatch)
+        for seed in range(4):
+            tm.run_sa(berlin52, tm.SaConfig(cooling=0.8, iters_per_temp=1500, min_temp=0.5,
+                                            seed=seed))
+        assert {kind for kind, _, _ in log.events} == {"scalar", "cold"}
 
 
 @st.composite

@@ -408,6 +408,21 @@ class TestRestingParticles:
         assert after == SwarmState(state.particles, g, cost, 4, 100 + n_particles)
         assert all(a is b for a, b in zip(after.particles, state.particles))
 
+    @pytest.mark.parametrize("before", [0, 1, 306, 311, 312, 1000])
+    def test_one_call_spends_what_six_uniforms_spend(self, before):
+        # a particle at rest reads its six uniforms' 12 Mersenne Twister words
+        # with one getrandbits(384); after `before` uniforms the words also
+        # straddle the generator's refill every 624 words
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for rng in (ours, theirs):
+                for _ in range(before):
+                    rng.random()
+            ours.getrandbits(384)
+            for _ in range(6):
+                theirs.random()
+            assert ours.getstate() == theirs.getstate()
+
 
 class TestRun:
     @pytest.mark.parametrize("mode", list(tm.LocalSearch))
