@@ -163,7 +163,11 @@ def _or_opt_sweep(t: Tour, m: DistanceMatrix) -> list[int]:
     def improving_move(a: int) -> tuple[list[int], int, int, int, int, int, int] | None:
         i = pos[a]
         for step, length in shapes:
-            segment = [tour[(i + k * step) % n] for k in range(length)]
+            segment = [a]
+            if length > 1:
+                segment.append(tour[(i + step) % n])
+                if length > 2:
+                    segment.append(tour[(i + 2 * step) % n])
             z = segment[-1]
             p, q = tour[(i - step) % n], tour[(i + length * step) % n]
             gain = (rows[p][a] + rows[z][q]) - rows[p][q]
@@ -276,30 +280,16 @@ def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
     return tuple(order.tolist())
 
 
-def _three_opt_deltas(rows, a, b, c, e, f, g):
-    """Deltas of the seven reconnections of edges (a,b), (c,e), (f,g), each
-    new edge read in the direction _three_opt_rebuild's tour runs it."""
-    base = rows[a][b] + rows[c][e] + rows[f][g]
-    return (
-        rows[a][c] + rows[b][e] + rows[f][g] - base,  # reverse first segment
-        rows[a][b] + rows[c][f] + rows[e][g] - base,  # reverse second segment
-        rows[a][f] + rows[e][c] + rows[b][g] - base,  # reverse both as one block
-        rows[a][c] + rows[b][f] + rows[e][g] - base,  # reverse each segment
-        rows[a][e] + rows[f][b] + rows[c][g] - base,  # exchange segments
-        rows[a][e] + rows[f][c] + rows[b][g] - base,  # exchange, first reversed
-        rows[a][f] + rows[e][b] + rows[c][g] - base,  # exchange, second reversed
-    )
-
-
-# _three_opt_deltas' cases as (second segment first, first reversed, second reversed)
+# The seven reconnections of cut edges (a,b), (c,e), (f,g), in the scans'
+# case order, as (second segment first, first reversed, second reversed)
 _RECONNECTIONS = (
-    (False, True, False),
-    (False, False, True),
-    (True, True, True),
-    (False, True, True),
-    (True, False, False),
-    (True, True, False),
-    (True, False, True),
+    (False, True, False),  # reverse first segment
+    (False, False, True),  # reverse second segment
+    (True, True, True),  # reverse both as one block
+    (False, True, True),  # reverse each segment
+    (True, False, False),  # exchange segments
+    (True, True, False),  # exchange, first reversed
+    (True, False, True),  # exchange, second reversed
 )
 
 
@@ -313,20 +303,49 @@ def _three_opt_rebuild(seg1: list, seg2: list, case: int) -> list:
 def _first_improving_move(order: list, m: DistanceMatrix) -> tuple[int, int, int, int] | None:
     """The first cut triple i < j < k, in lexicographic order, with a
     reconnection that beats the tour by more than _margin(m), as
-    (i, j, k, case) with case the first such reconnection; None if there is
-    none. The pure-Python scan, and the reference for _first_improving_block."""
+    (i, j, k, case) with case the first such reconnection in _RECONNECTIONS'
+    order; None if there is none. The pure-Python scan.
+
+    For cut edges (a,b), (c,e), (f,g) leaving positions i, j and k, each
+    case's delta is ((x + y) + z) - base, with base = (ab + ce) + fg and
+    x, y, z its new edges as _three_opt_rebuild's tour runs them: the sums
+    _first_improving_block makes, so both scans make the same moves. An
+    edge read the other way round (ce for ec) is the same float, since d is
+    symmetric."""
     n = m.n
-    rows, margin = m.rows, _margin(m)
+    rows, bound = m.rows, -_margin(m)
+    succ = order[1:] + order[:1]
+    edge = [rows[x][y] for x, y in zip(order, succ)]  # the edge leaving each position
     for i in range(n - 2):
-        a, b = order[i], order[i + 1]
+        a, b = order[i], succ[i]
+        row_a, row_b, ab = rows[a], rows[b], edge[i]
         for j in range(i + 1, n - 1):
-            c, e = order[j], order[j + 1]
+            c, e = order[j], succ[j]
+            row_c, row_e, ce = rows[c], rows[e], edge[j]
+            ab_ce = ab + ce
+            ac, ae, be = row_a[c], row_a[e], row_b[e]
+            ac_be = ac + be
             for k in range(j + 1, n):
-                f, g = order[k], order[(k + 1) % n]
-                deltas = _three_opt_deltas(rows, a, b, c, e, f, g)
-                if min(deltas) < -margin:
-                    case = next(x for x, delta in enumerate(deltas) if delta < -margin)
-                    return i, j, k, case
+                f, g, fg = order[k], succ[k], edge[k]
+                base = ab_ce + fg
+                if (ac_be + fg) - base < bound:
+                    return i, j, k, 0
+                cf, eg = row_c[f], row_e[g]
+                if ((ab + cf) + eg) - base < bound:
+                    return i, j, k, 1
+                af, bg = row_a[f], row_b[g]
+                if ((af + ce) + bg) - base < bound:
+                    return i, j, k, 2
+                bf = row_b[f]
+                if ((ac + bf) + eg) - base < bound:
+                    return i, j, k, 3
+                cg = row_c[g]
+                if ((ae + bf) + cg) - base < bound:
+                    return i, j, k, 4
+                if ((ae + cf) + bg) - base < bound:
+                    return i, j, k, 5
+                if ((af + be) + cg) - base < bound:
+                    return i, j, k, 6
     return None
 
 
@@ -337,7 +356,8 @@ def _three_opt_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j and k list the pairs 1 <= j < k < n in lexicographic order; the pairs
     of cut triple row i, those with j > i, are the tail from the first pair
     with j = i + 1. offsets[r, t, p] locates, for pair p, edge t of the
-    base tour (r = 0) or of reconnection case r - 1, in a flat array
+    base tour (r = 0) or of reconnection case r - 1 (_RECONNECTIONS'
+    order, the scans' case order), in a flat array
     holding the n x n tour-ordered matrix P, then copies of P's rows i and
     i+1, of its column i+1 and of P[i, i+1]. a, b, c, e, f, g are tour
     positions i, i+1, j, j+1, k and k+1 (mod n); each case's three new
@@ -383,9 +403,10 @@ def _first_improving_block(order: list, m: DistanceMatrix) -> tuple[int, int, in
     in lexicographic order. Its edges are gathered with _three_opt_offsets'
     table from a copy of the matrix permuted into tour order,
     P[r, c] = d[order[r], order[c]], followed by P's rows i and i+1, column
-    i+1 and P[i, i+1], and added up term for term as _three_opt_deltas adds
-    them, so the deltas are the same floats. The scan stops at the first
-    block that holds an improving triple."""
+    i+1 and P[i, i+1], and added up term for term as _first_improving_move
+    adds them, base = (ab + ce) + fg and ((x + y) + z) - base for each case,
+    so the deltas are the same floats. The scan stops at the first block
+    that holds an improving triple."""
     n = m.n
     offsets, j_idx, k_idx = _three_opt_offsets(n)
     margin = _margin(m)

@@ -16,9 +16,9 @@ import tspmeta as tm
 from tspmeta import localsearch
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import (IMPROVEMENT_EPS, NEIGHBORS, SWEEP_AND_BLOCK_MIN_N,
-                                  _first_improving_block, _first_improving_move,
+                                  _first_improving_block, _first_improving_move, _margin,
                                   _neighbor_sweep, _or_opt_sweep,
-                                  _three_opt_deltas, _three_opt_offsets, _three_opt_rebuild,
+                                  _three_opt_offsets, _three_opt_rebuild,
                                   _three_opt_scans, _tour_offsets, _two_opt_passes,
                                   reversal_table)
 from conftest import in_time, random_instance
@@ -81,11 +81,46 @@ def uniform_or_grid_instance(rng, n: int, grid: bool) -> tm.Instance:
     return tm.Instance.from_coords("grid", coords, tm.Metric.EUCLIDEAN_ROUNDED)
 
 
+def three_opt_deltas(rows, a, b, c, e, f, g):
+    """Deltas of the seven reconnections of edges (a,b), (c,e), (f,g), in
+    _RECONNECTIONS' order, each new edge read in the direction
+    _three_opt_rebuild's tour runs it."""
+    base = rows[a][b] + rows[c][e] + rows[f][g]
+    return (
+        rows[a][c] + rows[b][e] + rows[f][g] - base,  # reverse first segment
+        rows[a][b] + rows[c][f] + rows[e][g] - base,  # reverse second segment
+        rows[a][f] + rows[e][c] + rows[b][g] - base,  # reverse both as one block
+        rows[a][c] + rows[b][f] + rows[e][g] - base,  # reverse each segment
+        rows[a][e] + rows[f][b] + rows[c][g] - base,  # exchange segments
+        rows[a][e] + rows[f][c] + rows[b][g] - base,  # exchange, first reversed
+        rows[a][f] + rows[e][b] + rows[c][g] - base,  # exchange, second reversed
+    )
+
+
+def reference_scan(order, m):
+    """The first cut triple i < j < k, in lexicographic order, with a
+    reconnection that beats the tour by more than _margin(m), as
+    (i, j, k, case) with case the first such one; None if there is none.
+    The scan each of localsearch's 3-opt scans must reproduce."""
+    n = m.n
+    rows, margin = m.rows, _margin(m)
+    for i in range(n - 2):
+        a, b = order[i], order[i + 1]
+        for j in range(i + 1, n - 1):
+            c, e = order[j], order[j + 1]
+            for k in range(j + 1, n):
+                deltas = three_opt_deltas(rows, a, b, c, e, order[k], order[(k + 1) % n])
+                if min(deltas) < -margin:
+                    case = next(x for x, delta in enumerate(deltas) if delta < -margin)
+                    return i, j, k, case
+    return None
+
+
 def reference_three_opt(t, m):
-    """three_opt's scans in pure Python at every size: the moves the numpy
-    block scan must reproduce."""
+    """three_opt's scans made with the reference scan at every size: the
+    moves _three_opt_scans must reproduce."""
     order = list(t)
-    while (move := _first_improving_move(order, m)) is not None:
+    while (move := reference_scan(order, m)) is not None:
         i, j, k, case = move
         order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
     return tuple(order)
@@ -320,7 +355,7 @@ class TestThreeOpt:
                 length = cycle_length(order, rows)
                 for i, j, k in itertools.combinations(range(n), 3):
                     ends = order[i], order[i + 1], order[j], order[j + 1], order[k]
-                    deltas = _three_opt_deltas(rows, *ends, order[(k + 1) % n])
+                    deltas = three_opt_deltas(rows, *ends, order[(k + 1) % n])
                     for case, delta in enumerate(deltas):
                         rebuilt = (order[:i + 1] + _three_opt_rebuild(
                             order[i + 1:j + 1], order[j + 1:k + 1], case) + order[k + 1:])
@@ -353,7 +388,7 @@ def test_block_scan_makes_the_pure_python_sweeps_moves(n, grid, polished, seed):
     start = tm.random_tour(n, rng)
     order = list(tm.two_opt(start, m) if polished else start)
     while True:
-        move = _first_improving_move(order, m)
+        move = reference_scan(order, m)
         assert _first_improving_block(order, m) == move
         if move is None:
             break
@@ -365,9 +400,10 @@ def test_block_scan_makes_the_pure_python_sweeps_moves(n, grid, polished, seed):
 @given(st.integers(12, 30), st.booleans(), st.integers(0, 2**32 - 1))
 def test_both_scans_read_each_edge_the_same_way_round(n, small_integers, seed):
     # on a symmetric matrix d[c, e] and d[e, c] are one value, so only
-    # asymmetric costs show a scan that reads a reconnection's edge the other
-    # way round; on them the deltas are no length changes and a scan loop
-    # need not end, so this stops after four moves
+    # asymmetric costs show a block scan that reads a reconnection's edge the
+    # other way round from the reference scan (the inline scan reads ce for ec,
+    # as a DistanceMatrix is symmetric); on them the deltas are no length
+    # changes and a scan loop need not end, so this stops after four moves
     rng = np.random.default_rng(seed)
     d = rng.integers(1, 5, (n, n)).astype(float) if small_integers else rng.random((n, n))
     np.fill_diagonal(d, 0.0)
@@ -375,9 +411,39 @@ def test_both_scans_read_each_edge_the_same_way_round(n, small_integers, seed):
     m = tm.DistanceMatrix(d)
     order = list(tm.random_tour(n, random.Random(seed)))
     for moves in range(5):
-        move = _first_improving_move(order, m)
+        move = reference_scan(order, m)
         assert _first_improving_block(order, m) == move
         if move is None or moves == 4:
+            break
+        i, j, k, case = move
+        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+
+
+# n on both sides of the sizes three_opt scans in pure Python; the rounded
+# grids tie often, a reference optimum perturbed by a swap of two cities puts
+# the first improving triple deep in the scan, and a scaled instance's margin
+# is 2**-48 times its largest distance, above IMPROVEMENT_EPS
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 12), st.booleans(), st.booleans(), st.sampled_from([0, 6, 150]),
+       st.integers(0, 2**32 - 1))
+def test_the_inline_scan_makes_the_reference_scans_moves(n, grid, perturbed, exponent, seed):
+    rng = random.Random(seed)
+    instance = uniform_or_grid_instance(rng, n, grid)
+    if exponent:
+        scale = 10.0 ** exponent
+        instance = tm.Instance.from_coords(
+            "scaled", [(c.x * scale, c.y * scale) for c in instance.cities], instance.metric)
+    m = tm.build_distance_matrix(instance)
+    assert not exponent or m.largest == 0 or _margin(m) > IMPROVEMENT_EPS
+    order = list(tm.random_tour(n, rng))
+    if perturbed:
+        order = list(reference_three_opt(order, m))
+        x, y = rng.sample(range(n), 2)
+        order[x], order[y] = order[y], order[x]
+    while True:
+        move = reference_scan(order, m)
+        assert in_time(_first_improving_move, order, m) == move
+        if move is None:
             break
         i, j, k, case = move
         order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
