@@ -1,5 +1,6 @@
 import math
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -11,6 +12,8 @@ from tspmeta.instance import cycle_length
 # deadline, so a slow shared machine cannot make them flake.
 settings.register_profile("tspmeta", deadline=None, derandomize=True)
 settings.load_profile("tspmeta")
+
+BUNDLED_SPEC = Path(__file__).resolve().parent.parent / "specs" / "five_city_repro.json"
 
 
 @pytest.fixture

@@ -11,10 +11,9 @@ import pytest
 
 import tspmeta as tm
 from tspmeta.cli import main
-from conftest import random_instance
+from conftest import BUNDLED_SPEC, random_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BUNDLED_SPEC = REPO_ROOT / "specs" / "five_city_repro.json"
 
 FIVE_CITY_TARGET = 15.15299  # brute-force optimum, quoted at 5 decimals
 FIVE_CITY_TOL = 1e-4

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import random
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 import tspmeta as tm
 from tspmeta import baselines
 from conftest import in_time, random_instance
+from golden import check
 from tspmeta.baselines import (SA_BLOCK, SA_COLD_GAP, _sa_cold_passes, _sa_floor, _sa_proposals,
                                order_crossover_rows, sa_thresholds, swap_mutation_rows,
                                tournament_winners)
@@ -232,39 +232,10 @@ class TestRunGa:
         assert result.evaluations == population + 6 * (population - elitism)
 
     def test_results_are_pinned(self):
-        # pins tour, cost, history and evaluations with no elite and an all-elite
-        # population, and tournaments of one and of the whole population; the
-        # rounded grid ties often
-        digest = hashlib.sha256()
-        grid = tm.Instance.from_coords("grid", [(i % 4 * 10, i // 4 * 10) for i in range(12)],
-                                       tm.Metric.EUCLIDEAN_ROUNDED)
-        for inst in [random_instance(random.Random(n), n) for n in range(1, 10)] + [grid]:
-            for population in (1, 2, 7, 20):
-                for elitism, k in itertools.product(sorted({0, population}),
-                                                 sorted({1, population})):
-                    cfg = tm.GaConfig(population=population, generations=8, elitism=elitism,
-                                      tournament_k=k, mutation_rate=0.5, seed=inst.n + k)
-                    result = tm.run_ga(inst, cfg)
-                    digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
-                                        result.evaluations)).encode())
-        assert digest.hexdigest() == (
-            "f94e74cb86287176da37c906998a227c7c5b64b22f0211aedcbe8d4c6944e2ea")
+        check("ga-edges")
 
     def test_results_are_pinned_at_the_benchmark_shapes(self):
-        # berlin52 with the benchmark's population of 350, and 200 uniform
-        # cities with the default population: runs far larger than the pin above
-        digest = hashlib.sha256()
-        berlin = tm.packaged_instance("berlin52")
-        runs = [(berlin, tm.GaConfig(population=350, mutation_rate=0.3, generations=20,
-                                     seed=seed)) for seed in range(3)]
-        uniform = random_instance(random.Random(200), 200)
-        runs += [(uniform, tm.GaConfig(generations=25, seed=seed)) for seed in range(2)]
-        for inst, cfg in runs:
-            result = tm.run_ga(inst, cfg)
-            digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
-                                result.evaluations)).encode())
-        assert digest.hexdigest() == (
-            "ed9d6531c6326dab6008169985cf4915b3e9a1d1339d810b977f3a339159e954")
+        check("ga-benchmark-shapes")
 
     def test_a_generation_allocates_less_than_one_population(self):
         # a generation makes its (P, n) arrays in buffers the run allocates
@@ -855,24 +826,7 @@ class TestRunSa:
                 result.evaluations) == reference_sa(instance, cfg)
 
     def test_results_are_pinned(self):
-        # pins tour, cost, history and evaluations for the benchmark's three SA
-        # configs (defaults at n = 5..9, berlin52 with cooling 0.8, n = 200
-        # with 1000 proposals per level) and c6's schedule on berlin52
-        digest = hashlib.sha256()
-        berlin52 = tm.packaged_instance("berlin52")
-        cases = [(random_instance(random.Random(n), n), tm.SaConfig(seed=n)) for n in range(5, 10)]
-        cases += [(berlin52, tm.SaConfig(cooling=0.8, iters_per_temp=1500, min_temp=0.5,
-                                         seed=seed)) for seed in (2, 3)]
-        cases += [(random_instance(random.Random(200), 200),
-                   tm.SaConfig(cooling=0.8, iters_per_temp=1000, min_temp=1e-3, seed=1)),
-                  (berlin52, tm.SaConfig(cooling=0.99, iters_per_temp=1500, min_temp=0.5,
-                                         seed=0))]
-        for inst, cfg in cases:
-            result = tm.run_sa(inst, cfg)
-            digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
-                                result.evaluations)).encode())
-        assert digest.hexdigest() == (
-            "dc1e7a36449f4471345e9f1315146c2e10765446533d2a28ef7149a329ef1c02")
+        check("sa-benchmark-configs")
 
     def test_tiny_instances(self):
         two = tm.Instance.from_coords("two", [(0, 0), (3, 4)])

@@ -10,12 +10,11 @@ import tspmeta as tm
 from tspmeta import bench
 from tspmeta.bench import BUILTIN_INSTANCE_MARKER, build_algorithm_config
 from tspmeta.pso import _inertia_now
-
-SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+from conftest import BUNDLED_SPEC
 
 
 def bundled_spec_doc() -> dict:
-    return json.loads((SPECS_DIR / "five_city_repro.json").read_text(encoding="utf-8"))
+    return json.loads(BUNDLED_SPEC.read_text(encoding="utf-8"))
 
 
 def write_spec(tmp_path, doc) -> Path:
@@ -196,7 +195,7 @@ class TestExperimentSpecValidation:
 
     @pytest.mark.parametrize("reference", [0, -1.0, float("inf"), float("nan"), "x", [1]])
     def test_bad_reference_cost(self, tmp_path, reference):
-        spec = json.loads((SPECS_DIR / "five_city_repro.json").read_text(encoding="utf-8"))
+        spec = json.loads(BUNDLED_SPEC.read_text(encoding="utf-8"))
         spec["reference_cost"] = reference
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec))
@@ -256,7 +255,7 @@ class TestBuildAlgorithmConfig:
 
 class TestLoadExperimentSpec:
     def test_bundled_spec_loads(self):
-        spec = tm.load_experiment_spec(SPECS_DIR / "five_city_repro.json")
+        spec = tm.load_experiment_spec(BUNDLED_SPEC)
         assert spec.instance_source == BUILTIN_INSTANCE_MARKER
         assert spec.runs_per_algorithm == 5
         assert spec.base_seed == 0

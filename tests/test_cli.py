@@ -12,11 +12,8 @@ import pytest
 
 import tspmeta as tm
 from tspmeta.cli import build_parser, main
-from conftest import in_time, tsplib_text
+from conftest import BUNDLED_SPEC, in_time, tsplib_text
 from tspmeta.instance import MAX_EXACT_CITIES
-
-SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
-BUNDLED_SPEC = SPECS_DIR / "five_city_repro.json"
 
 
 # paths no file can have: a lone surrogate no byte stands for, a null byte
@@ -115,6 +112,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("iters", ["9223372036854775808", "1" + "0" * 29])
     def test_sa_levels_longer_than_islice_takes_exit_2(self, capsys, iters):
+        # the cap is numpy's int64 division of proposal indices by
+        # iters_per_temp, not islice, which the name is older than
         assert main(["solve", "--builtin-paper", "--algo", "sa", "--iters-per-temp", iters]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: iters_per_temp")

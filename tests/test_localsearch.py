@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import os
@@ -22,6 +21,7 @@ from tspmeta.localsearch import (IMPROVEMENT_EPS, NEIGHBORS, SWEEP_AND_BLOCK_MIN
                                   _three_opt_scans, _tour_offsets, _two_opt_passes,
                                   reversal_table)
 from conftest import in_time, random_instance
+from golden import check
 
 FIVE_CITY_OPT_COST = 15.15298244508295
 
@@ -179,27 +179,10 @@ class TestTwoOpt:
         assert in_time(tm.two_opt, tour, m) == in_time(tm.two_opt, tour, m)
 
     def test_chosen_local_optimum_is_pinned(self):
-        # the certificate admits any 2-opt local optimum; this pins the one the
-        # best-improvement passes and their tie rule lead to (PSO's polish)
-        rng = random.Random(2025)
-        digest = hashlib.sha256()
-        for _ in range(100):
-            n = rng.randint(4, 30)
-            m = tm.build_distance_matrix(random_instance(rng, n))
-            digest.update(repr(_two_opt_passes(tm.random_tour(n, rng), m)).encode())
-        assert digest.hexdigest() == (
-            "70dcedfa5709668306f79213ea5120d4e5de07e6c38f9dab626290b3aa4005e8")
+        check("two-opt-passes")
 
     def test_sweep_then_passes_local_optimum_is_pinned(self):
-        # the same starts as above; the neighbour-list sweep's moves come first
-        rng = random.Random(2025)
-        digest = hashlib.sha256()
-        for _ in range(100):
-            n = rng.randint(4, 30)
-            m = tm.build_distance_matrix(random_instance(rng, n))
-            digest.update(repr(in_time(tm.two_opt, tm.random_tour(n, rng), m)).encode())
-        assert digest.hexdigest() == (
-            "3ce12a96489280b80312ce20c9c3f28e8eedfccd74e65844d0d61329c224e6bb")
+        check("two-opt")
 
     def test_from_a_random_tour_at_n_1000_in_time(self):
         # the passes alone take seconds at this size: one O(n^2) scan per move
@@ -323,28 +306,10 @@ class TestThreeOpt:
         assert in_time(tm.three_opt, tour, m) == in_time(tm.three_opt, tour, m)
 
     def test_chosen_local_optimum_is_pinned(self):
-        # the certificate admits any 3-opt local optimum; this pins the one the
-        # scan order and first-improving reconnection lead to (PSO's polish)
-        rng = random.Random(2024)
-        digest = hashlib.sha256()
-        for _ in range(100):
-            n = rng.randint(5, 30)
-            m = tm.build_distance_matrix(random_instance(rng, n))
-            digest.update(repr(in_time(_three_opt_scans, tm.random_tour(n, rng), m)).encode())
-        assert digest.hexdigest() == (
-            "1c0b1b232d2ed0de038ffc82a54cf14cf6b43773cf909fc7b3453084f34a4e3f")
+        check("three-opt-scans")
 
     def test_sweep_then_scans_local_optimum_is_pinned(self):
-        # the same starts as above; from SWEEP_AND_BLOCK_MIN_N cities on, the 2-opt and
-        # Or-opt sweeps' moves come first
-        rng = random.Random(2024)
-        digest = hashlib.sha256()
-        for _ in range(100):
-            n = rng.randint(5, 30)
-            m = tm.build_distance_matrix(random_instance(rng, n))
-            digest.update(repr(in_time(tm.three_opt, tm.random_tour(n, rng), m)).encode())
-        assert digest.hexdigest() == (
-            "c72c10aa0cfcb243bba07c151639143aee342c98f117ca05bb045e0c6eddcd91")
+        check("three-opt")
 
     def test_each_case_delta_matches_its_rebuilt_tour(self):
         rng = random.Random(2027)

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from dataclasses import replace
 
@@ -13,15 +12,9 @@ from tspmeta.localsearch import _two_opt_passes
 from tspmeta.pso import (_LEAD_POLISH, LocalSearch, Particle, SwarmState, _inertia_now,
                          _move, init_state)
 from conftest import random_instance
+from golden import check
 
 FIVE_CITY_OPT_COST = 15.15298244508295
-# sha256 of TestRun.test_results_are_pinned's results per local-search mode
-PSO_PINS = {
-    "none": "bf0440c388c0971db3fc5340710607ab5fc566955e272b50d843e296929ae325",
-    "two-opt-gbest": "f30dad183d2ed6d55e31cae78d957e7d778a1c7a5becf868ce1bae37318e67f3",
-    "two-opt-all": "108f0fa62b346be0f32adbbea6097ca38b78e2836bd62f9a093264b49e377511",
-    "three-opt-gbest": "ceecf50869addb278b08d6e054a571ebf66d29dfaacb5cb600b11f70128e6853",
-}
 
 
 def reference_swap_difference(frm, to):
@@ -476,21 +469,7 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", list(tm.LocalSearch))
     def test_results_are_pinned(self, mode):
-        # pins tour, cost, history and evaluations of each mode, with and without
-        # the inertia decay and the stagnation stop; the rounded grids tie often
-        rng = random.Random(2026)
-        grids = [tm.Instance.from_coords("grid", [(i % 4 * 10, i // 4 * 10) for i in range(n)],
-                                         tm.Metric.EUCLIDEAN_ROUNDED) for n in (9, 12)]
-        digest = hashlib.sha256()
-        for w_end, stagnation_limit in [(None, None), (0.3, None), (None, 3), (0.1, 2)]:
-            for inst in grids + [random_instance(rng, n) for n in (3, 5, 8, 11)]:
-                cfg = tm.SwarmConfig(n_particles=rng.randint(1, 8), max_iter=12, w_end=w_end,
-                                     local_search=mode, stagnation_limit=stagnation_limit,
-                                     seed=rng.randrange(1000))
-                result = tm.run_pso(inst, cfg)
-                digest.update(repr((result.best_tour, result.best_cost, result.cost_history,
-                                    result.evaluations)).encode())
-        assert digest.hexdigest() == PSO_PINS[mode.value]
+        check(f"pso-{mode.value}")
 
     def test_permutation_safety_random_configs(self):
         rng = random.Random(55)
