@@ -1,3 +1,4 @@
+import json
 import math
 import signal
 from pathlib import Path
@@ -14,6 +15,17 @@ settings.register_profile("tspmeta", deadline=None, derandomize=True)
 settings.load_profile("tspmeta")
 
 BUNDLED_SPEC = Path(__file__).resolve().parent.parent / "specs" / "five_city_repro.json"
+SRC = Path(tm.__file__).resolve().parent.parent  # the tspmeta tree under test
+
+
+def bundled_spec_doc() -> dict:
+    return json.loads(BUNDLED_SPEC.read_text(encoding="utf-8"))
+
+
+def write_spec(tmp_path, doc) -> Path:
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    return p
 
 
 @pytest.fixture
@@ -35,6 +47,12 @@ def berlin52() -> tm.Instance:
 def random_instance(rng, n: int, name: str = "random") -> tm.Instance:
     """Uniform random coordinates in the unit square from a seeded stream."""
     return tm.Instance.from_coords(name, [(rng.random(), rng.random()) for _ in range(n)])
+
+
+def assert_valid_result(result, instance: tm.Instance) -> None:
+    """result's best tour is a tour of instance, and its best cost that tour's length."""
+    tm.validate_tour(result.best_tour, instance.n)
+    assert result.best_cost == tm.tour_length(result.best_tour, tm.build_distance_matrix(instance))
 
 
 def tsplib_text(coords, name: str = "t") -> str:

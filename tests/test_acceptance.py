@@ -19,8 +19,9 @@ FIVE_CITY_TARGET = 15.15299  # brute-force optimum, quoted at 5 decimals
 FIVE_CITY_TOL = 1e-4
 
 
-def _report(name: str) -> None:
-    print(f"[PASS] {name}")
+def _report(capsys, name: str) -> None:
+    with capsys.disabled():
+        print(f"[PASS] {name}")
 
 
 def _assert_non_increasing(history, context: str) -> None:
@@ -50,8 +51,7 @@ def test_c1_exact_five_city_optimum(capsys):
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "12.3" in readme and "15.15298" in readme and "17.75854" in readme
 
-    with capsys.disabled():
-        _report(f"c1 exact five-city optimum ({cost:.5f}, {elapsed:.2f}s)")
+    _report(capsys, f"c1 exact five-city optimum ({cost:.5f}, {elapsed:.2f}s)")
 
 
 def test_c2_pso_reproduction_at_reference_settings(five_city, capsys):
@@ -67,8 +67,7 @@ def test_c2_pso_reproduction_at_reference_settings(five_city, capsys):
     elapsed = time.perf_counter() - start
     assert hits == 20, f"only {hits}/20 seeds reached the optimum"
     assert elapsed < 5.0, f"20 runs took {elapsed:.2f}s"
-    with capsys.disabled():
-        _report(f"c2 swarm reproduction at reference settings (20/20, {elapsed:.2f}s)")
+    _report(capsys, f"c2 swarm reproduction at reference settings (20/20, {elapsed:.2f}s)")
 
 
 def test_c3_oracle_equivalence_small_instances(capsys):
@@ -103,9 +102,8 @@ def test_c3_oracle_equivalence_small_instances(capsys):
             f"{name} matched the exact optimum in {hits}/{total} pairs (< {floor:.0%})"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"matrix took {elapsed:.1f}s"
-    with capsys.disabled():
-        summary = ", ".join(f"{k} {v:.1%} in {seconds[k]:.1f}s" for k, v in rates.items())
-        _report(f"c3 oracle equivalence ({summary}, {elapsed:.1f}s)")
+    summary = ", ".join(f"{k} {v:.1%} in {seconds[k]:.1f}s" for k, v in rates.items())
+    _report(capsys, f"c3 oracle equivalence ({summary}, {elapsed:.1f}s)")
 
 
 def test_c4_two_opt_certificate(capsys):
@@ -134,8 +132,7 @@ def test_c4_two_opt_certificate(capsys):
                     f"improving reversal ({i},{j}) left after two_opt"
         checked += 1
     elapsed = time.perf_counter() - start
-    with capsys.disabled():
-        _report(f"c4 two-opt local-optimality certificate (200 tours, {elapsed:.1f}s)")
+    _report(capsys, f"c4 two-opt local-optimality certificate (200 tours, {elapsed:.1f}s)")
 
 
 def test_c5_swap_algebra_laws(capsys):
@@ -159,8 +156,7 @@ def test_c5_swap_algebra_laws(capsys):
             particle, tm.random_tour(n, rng),
             rng.random(), 2 * rng.random(), 2 * rng.random(), rng)
         tm.validate_tour(tm.apply_swaps(position, velocity), n)
-    with capsys.disabled():
-        _report("c5 swap-algebra laws (1000 difference pairs, 500 velocity fuzz cases)")
+    _report(capsys, "c5 swap-algebra laws (1000 difference pairs, 500 velocity fuzz cases)")
 
 
 def test_c6_berlin52_within_tolerance(berlin52, capsys):
@@ -188,9 +184,8 @@ def test_c6_berlin52_within_tolerance(berlin52, capsys):
             f"{name} best-of-10 {best:.0f} exceeds {factor:.2f} x {reference:.0f}"
         assert elapsed < 60.0, f"{name} took {elapsed:.1f}s"
         gaps[name] = (100.0 * (best - reference) / reference, elapsed)
-    with capsys.disabled():
-        summary = ", ".join(f"{k} gap {g:.2f}% in {t:.1f}s" for k, (g, t) in gaps.items())
-        _report(f"c6 berlin52 tolerances ({summary})")
+    summary = ", ".join(f"{k} gap {g:.2f}% in {t:.1f}s" for k, (g, t) in gaps.items())
+    _report(capsys, f"c6 berlin52 tolerances ({summary})")
 
 
 def test_c7_monotone_convergence_matrix(capsys):
@@ -208,8 +203,7 @@ def test_c7_monotone_convergence_matrix(capsys):
             for h in histories:
                 _assert_non_increasing(h, f"{inst.name} seed {seed}")
             runs += len(histories)
-    with capsys.disabled():
-        _report(f"c7 monotone convergence ({runs} runs, plus every run in c2/c3/c6)")
+    _report(capsys, f"c7 monotone convergence ({runs} runs, plus every run in c2/c3/c6)")
 
 
 def test_c8_bench_determinism(tmp_path, capsys):
@@ -238,8 +232,7 @@ def test_c8_bench_determinism(tmp_path, capsys):
     doc = json.loads(outputs[0][1])
     assert all(abs(r["best_cost"] - FIVE_CITY_TARGET) <= FIVE_CITY_TOL
                for r in doc["records"])
-    with capsys.disabled():
-        _report("c8 bench determinism (CSV/JSON identical apart from wall time)")
+    _report(capsys, "c8 bench determinism (CSV/JSON identical apart from wall time)")
 
 
 def test_c9_statistics_fixture(capsys):
@@ -254,5 +247,4 @@ def test_c9_statistics_fixture(capsys):
     assert stats.sample_std == pytest.approx(0.27019, abs=1e-5)
     assert stats.best == 12.3
     assert stats.worst == 13.0
-    with capsys.disabled():
-        _report("c9 statistics fixture (mean 12.64, sample std 0.27019)")
+    _report(capsys, "c9 statistics fixture (mean 12.64, sample std 0.27019)")

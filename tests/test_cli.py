@@ -12,7 +12,8 @@ import pytest
 
 import tspmeta as tm
 from tspmeta.cli import build_parser, main
-from conftest import BUNDLED_SPEC, in_time, tsplib_text
+from conftest import BUNDLED_SPEC, SRC, bundled_spec_doc, in_time, tsplib_text, write_spec
+from golden import run_cli
 from tspmeta.instance import MAX_EXACT_CITIES
 
 
@@ -23,6 +24,14 @@ NO_FILE_CAN_HAVE = pytest.mark.parametrize("path", ["\ud800.out", "a\x00b.out"],
 
 def strip_timing(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if not line.startswith("time:"))
+
+
+def error_output(capsys) -> str:
+    """The command's error output, once checked that it starts "error:" and
+    that nothing went to stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    return captured.err
 
 
 def refused_path(capsys, path: str) -> bool:
@@ -61,14 +70,11 @@ class TestSolve:
 
     def test_missing_file_exits_2_with_no_partial_output(self, capsys):
         assert main(["solve", "--algo", "pso", "missing.tsp"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error" in captured.err.lower()
+        error_output(capsys)
 
     def test_path_with_a_null_byte_exits_2(self, capsys):
         assert main(["solve", "a\x00b.csv"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
+        error_output(capsys)
 
     def test_no_instance_exits_2(self, capsys):
         assert main(["solve", "--algo", "pso"]) == 2
@@ -100,52 +106,43 @@ class TestSolve:
     ])
     def test_non_finite_config_exits_2(self, capsys, flags):
         assert main(["solve", "--builtin-paper", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "internal error" not in captured.err
+        assert "internal error" not in error_output(capsys)
 
     def test_sa_schedule_of_too_many_levels_exits_2(self, capsys):
         flags = ["--algo", "sa", "--cooling", "0.9999999999999999", "--initial-temp", "2",
                  "--min-temp", "1"]
         assert in_time(main, ["solve", "--builtin-paper", *flags], seconds=2.0) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "temperature levels" in captured.err
+        assert "temperature levels" in error_output(capsys)
 
     @pytest.mark.parametrize("iters", ["9223372036854775808", "1" + "0" * 29])
     def test_sa_levels_longer_than_islice_takes_exit_2(self, capsys, iters):
         # the cap is numpy's int64 division of proposal indices by
         # iters_per_temp, not islice, which the name is older than
         assert main(["solve", "--builtin-paper", "--algo", "sa", "--iters-per-temp", iters]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: iters_per_temp")
+        assert error_output(capsys).startswith("error: iters_per_temp")
 
     def test_flag_of_another_solver_exits_2(self, capsys):
         assert main(["solve", "--builtin-paper", "--algo", "ga", "--particles", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: unknown ga parameter(s): ['n_particles']")
+        assert error_output(capsys).startswith("error: unknown ga parameter(s): ['n_particles']")
 
     @pytest.mark.parametrize("name", ["bad.csv", "bad.tsp"])
     def test_non_utf8_instance_exits_2(self, tmp_path, capsys, name):
         p = tmp_path / name
         p.write_bytes(b"0,0\n1,\xff\n")
         assert main(["solve", str(p)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
-        assert "UTF-8" in captured.err
+        assert "UTF-8" in error_output(capsys)
 
     def test_w_end_flag_matches_spec_w_end(self, tmp_path, capsys):
         # --w-end and a spec's "w_end" both turn on the decay, so they agree
         flags = ["--w", "0.9", "--w-end", "0.1", "--local-search", "none", "--iterations", "40"]
         assert main(["solve", "--builtin-paper", "--format", "json", *flags]) == 0
         solved = json.loads(capsys.readouterr().out)
-        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc = bundled_spec_doc()
         doc["runs_per_algorithm"] = 1
         doc["algorithms"][0]["params"] = {"w": 0.9, "w_end": 0.1, "local_search": "none",
                                           "max_iter": 40}
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))
         out_json = tmp_path / "report.json"
-        assert main(["bench", str(spec), "--out-json", str(out_json)]) == 0
+        assert main(["bench", str(write_spec(tmp_path, doc)), "--out-json", str(out_json)]) == 0
         (record,) = json.loads(out_json.read_text())["records"]
         assert (record["best_tour"], record["best_cost"], record["evaluations"]) == \
                (solved["best_tour"], solved["best_cost"], solved["evaluations"])
@@ -199,9 +196,7 @@ def test_overflowing_distances_exit_2(tmp_path, capsys, command, name):
     p.write_text(tsplib_text(coords, "far") if name.endswith(".tsp")
                  else "".join(f"{x},{y}\n" for x, y in coords))
     assert main([*command, str(p)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
-    assert "overflows" in captured.err
+    assert "overflows" in error_output(capsys)
 
 
 class TestBench:
@@ -239,17 +234,14 @@ class TestBench:
         assert main(["solve", str(instance), "--algo", "sa"]) == 0
         warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 2 and all(line.startswith("warning: t.tsp:") for line in warned)
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"instance": str(instance), "runs_per_algorithm": 2,
-                                    "base_seed": 0, "algorithms": [{"name": "sa", "kind": "sa"}]}))
+        spec = write_spec(tmp_path, {"instance": str(instance), "runs_per_algorithm": 2,
+                                     "base_seed": 0, "algorithms": [{"name": "sa", "kind": "sa"}]})
         assert main(["bench", str(spec), "--threads", "2"]) == 0
         assert capsys.readouterr().err.splitlines() == warned
 
     def test_spec_without_algorithms_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "empty.json"
-        bad.write_text(json.dumps({
-            "instance": "builtin-paper", "runs_per_algorithm": 1,
-            "base_seed": 0, "algorithms": []}))
+        bad = write_spec(tmp_path, {"instance": "builtin-paper", "runs_per_algorithm": 1,
+                                    "base_seed": 0, "algorithms": []})
         assert main(["bench", str(bad)]) == 2
 
     def test_missing_spec_exits_2(self):
@@ -266,14 +258,11 @@ class TestBench:
         ("params", "n_particles", "30"), ("params", "local_search", 3), ("entry", "name", "a,b"),
     ])
     def test_mistyped_spec_exits_2(self, tmp_path, capsys, where, key, value):
-        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc = bundled_spec_doc()
         entry = doc["algorithms"][0]
         {"spec": doc, "entry": entry, "params": entry["params"]}[where][key] = value
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))
-        assert main(["bench", str(spec)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
+        assert main(["bench", str(write_spec(tmp_path, doc))]) == 2
+        error_output(capsys)
 
     @pytest.mark.parametrize("entry, problem", [
         ({"name": "sa", "kind": "sa", "parms": {"cooling": 0.5}}, "['parms']"),
@@ -281,37 +270,26 @@ class TestBench:
         ("sa", "must be a JSON object"),
     ], ids=["misspelled-params", "entry-seed", "bare-string"])
     def test_bad_algorithm_entry_exits_2(self, tmp_path, capsys, entry, problem):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"instance": "builtin-paper", "runs_per_algorithm": 1,
-                                    "base_seed": 0, "algorithms": [entry]}))
+        spec = write_spec(tmp_path, {"instance": "builtin-paper", "runs_per_algorithm": 1,
+                                     "base_seed": 0, "algorithms": [entry]})
         assert main(["bench", str(spec)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
-        assert problem in captured.err
+        assert problem in error_output(capsys)
 
     @pytest.mark.parametrize("instance", ["\ud800.csv", "a\x00b.csv"],
                              ids=["lone-surrogate", "null-byte"])
     def test_instance_path_no_file_can_have_exits_2(self, tmp_path, capsys, instance):
         # both used to exit 1: UnicodeEncodeError, and ValueError: embedded null byte
-        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc = bundled_spec_doc()
         doc["instance"] = instance
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))  # as \ud800 and \u0000
-        assert main(["bench", str(spec)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
-        assert repr(instance) in captured.err
+        assert main(["bench", str(write_spec(tmp_path, doc))]) == 2  # as \ud800 and \u0000
+        assert repr(instance) in error_output(capsys)
 
     def test_algorithm_name_with_a_lone_surrogate_exits_2(self, tmp_path, capsys):
         # used to exit 1: the summary table could not print the name
-        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc = bundled_spec_doc()
         doc["algorithms"][0]["name"] = "\ud800"
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))  # as \ud800
-        assert main(["bench", str(spec)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
-        assert "'\\ud800'" in captured.err
+        assert main(["bench", str(write_spec(tmp_path, doc))]) == 2  # as \ud800
+        assert "'\\ud800'" in error_output(capsys)
 
     @NO_FILE_CAN_HAVE
     def test_spec_path_no_file_can_have_exits_2(self, tmp_path, monkeypatch, capsys, path):
@@ -518,7 +496,7 @@ class TestByteOrderMark:
         assert captured.out.startswith("instance: square (n=4)") and captured.err == ""
 
     def test_bench_spec(self, tmp_path, capsys):
-        doc = json.loads(BUNDLED_SPEC.read_text())
+        doc = bundled_spec_doc()
         doc["runs_per_algorithm"] = 1
         p = tmp_path / "bom.json"
         p.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
@@ -570,11 +548,10 @@ class TestImportFootprint:
               "multiprocessing", "concurrent.futures.process")
 
     def test_import_tspmeta_loads_no_network_xml_or_process_modules(self):
-        src = Path(tm.__file__).resolve().parent.parent  # the tree under test
         code = ("import sys, numpy; before = set(sys.modules); import tspmeta; "
                 "print(*sorted(set(sys.modules) - before))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin",
+                              env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin",
                                    "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
@@ -584,11 +561,5 @@ class TestImportFootprint:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        src = Path(tm.__file__).resolve().parent.parent  # the tree under test
-        proc = subprocess.run(
-            [sys.executable, "-m", "tspmeta", "exact", "--builtin-paper"],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin:/usr/local/bin",
-                 "PYTHONDONTWRITEBYTECODE": "1"})
-        assert proc.returncode == 0
-        assert "optimal cost: 15.15298" in proc.stdout
+        code, out = run_cli(["exact", "--builtin-paper"])
+        assert code == 0 and "optimal cost: 15.15298" in out

@@ -10,14 +10,13 @@ An alarm is no bound here: main would report its TimeoutError as exit 1."""
 
 import contextlib
 import io
-import json
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tsplib_text
+from conftest import tsplib_text, write_spec
 from tspmeta.cli import _FLAGS, main
 
 # text that no flag parses as a number, and strings that do but are no value
@@ -179,8 +178,7 @@ def test_bench_exact_and_convert_exit_0_or_2(data):
     with tempfile.TemporaryDirectory() as tmp:
         instance, _ = data.draw(instance_files(Path(tmp)))
         spec = data.draw(specs(instance))
-        path = Path(tmp) / "spec.json"
-        path.write_text(json.dumps(spec), encoding="utf-8")
+        path = write_spec(Path(tmp), spec)
         out = ["--out-json", str(Path(tmp) / "out.json")] if data.draw(st.booleans()) else []
         assert exit_code(["bench", str(path), *out]) in (0, 2), spec
         assert exit_code(["exact", instance]) in (0, 2)

@@ -116,13 +116,17 @@ def reference_scan(order, m):
     return None
 
 
+def make_move(order: list, move) -> None:
+    i, j, k, case = move  # as reference_scan returns it
+    order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+
+
 def reference_three_opt(t, m):
     """three_opt's scans made with the reference scan at every size: the
     moves _three_opt_scans must reproduce."""
     order = list(t)
     while (move := reference_scan(order, m)) is not None:
-        i, j, k, case = move
-        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+        make_move(order, move)
     return tuple(order)
 
 
@@ -357,8 +361,7 @@ def test_block_scan_makes_the_pure_python_sweeps_moves(n, grid, polished, seed):
         assert _first_improving_block(order, m) == move
         if move is None:
             break
-        i, j, k, case = move
-        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+        make_move(order, move)
 
 
 @settings(max_examples=200, deadline=None)
@@ -380,8 +383,7 @@ def test_both_scans_read_each_edge_the_same_way_round(n, small_integers, seed):
         assert _first_improving_block(order, m) == move
         if move is None or moves == 4:
             break
-        i, j, k, case = move
-        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+        make_move(order, move)
 
 
 # n on both sides of the sizes three_opt scans in pure Python; the rounded
@@ -410,8 +412,7 @@ def test_the_inline_scan_makes_the_reference_scans_moves(n, grid, perturbed, exp
         assert in_time(_first_improving_move, order, m) == move
         if move is None:
             break
-        i, j, k, case = move
-        order[i + 1:k + 1] = _three_opt_rebuild(order[i + 1:j + 1], order[j + 1:k + 1], case)
+        make_move(order, move)
 
 
 def test_three_opt_equals_the_pure_python_sweep_on_berlin52(berlin52):
