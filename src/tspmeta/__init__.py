@@ -58,7 +58,6 @@ from .pso import run as run_pso
 from .pso import step as pso_step
 from .svgplot import render_tour_svg
 from .tsplib import (
-    ParseDiagnostics,
     five_city_instance,
     load_instance_file,
     packaged_instance,

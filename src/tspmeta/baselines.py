@@ -17,7 +17,7 @@ import numpy as np
 from .errors import MAX_POPULATION, MAX_TEMPERATURE_LEVELS, ConfigError, check_types
 from .instance import (DistanceMatrix, Instance, RunResult, Tour, cycle_length, cycle_lengths,
                        random_tour, run_search)
-from .localsearch import reversal_table
+from .localsearch import _tour_offsets, reversal_table
 
 
 @dataclass(frozen=True)
@@ -393,46 +393,25 @@ def _sa_proposals(gen: np.random.Generator, table, temps: list, iters: int):
         yield (*(column[k] for column in table), thresholds)
 
 
-def _reversal_ends(i, j, jn) -> np.ndarray:
-    """The tour positions of the ends of the four edges of reversals (i, j)
-    with jn = (j + 1) % n, as an (8, len(i)) array: a, b, a, c, then c, e,
-    b, e, so that _edge_lengths gives ac, be, ab and ce."""
-    return np.stack((i - 1, i, i - 1, j, j, jn, i, jn))
-
-
-def _edge_lengths(tour: np.ndarray, flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The four distances ac, be, ab and ce of each reversal whose
-    _reversal_ends are ends, in tour, from flat, the distance matrix's flat
-    view, as a (4, k) array."""
-    cities = tour.take(ends)
-    edges, heads = cities[:4], cities[4:]
-    edges *= len(tour)
-    edges += heads
-    return flat.take(edges)
-
-
-@functools.lru_cache(maxsize=8)
-def _floor_ends(n: int) -> np.ndarray:
-    """The _reversal_ends of every reversal_table(n) entry but the two that
-    only reflect the cycle (j - i == n - 2). Cached for a few sizes, like
-    reversal_table, and built only once a run screens a level. Left
-    writeable, since ndarray.take copies a read-only index array on every
-    call, so no caller may write to it."""
-    table = reversal_table(n)
-    return _reversal_ends(*(column[table[1] - table[0] != n - 2] for column in table))
-
-
 def _sa_floor(tour: np.ndarray, flat: np.ndarray) -> float:
     """The least delta of any reversal of the cycle tour, read from any city
-    in either direction, but the two that only reflect it. Such a reversal,
-    in any reading, removes and adds the same four edges as one of the
-    _floor_ends entries in tour or as its complement. The distances are
-    exactly symmetric and + commutes, so its delta is one of the two sums
-    taken here for that entry: ((ac + be) - ab) - ce, or ((ac + be) - ce) -
-    ab where ab and ce swap roles. At 3 cities every reversal reflects the
-    cycle; the largest float then stands for the least of none."""
-    ac, be, ab, ce = _edge_lengths(tour, flat, _floor_ends(len(tour)))
-    added = ac + be
+    in either direction, but the two that only reflect it: reversal_table(n)
+    entries n - 3 and 2n - 5, where j - i == n - 2. Such a reversal, in any
+    reading, removes and adds the same four edges as one of the other
+    entries in tour or as its complement. The distances are exactly
+    symmetric and + commutes, so its delta is one of the two sums taken here
+    for that entry: ((ac + be) - ab) - ce, or ((ac + be) - ce) - ab where ab
+    and ce swap roles. flat, the distance matrix's flat view, is read in
+    tour order at _tour_offsets(n), as _two_opt_passes reads it. At 3 cities
+    every reversal reflects the cycle; the largest float then stands for the
+    least of none."""
+    n = len(tour)
+    ac, be, ab, edge, j_idx = _tour_offsets(n)
+    tour_d = flat.reshape(n, n).take(tour, 0).take(tour, 1).reshape(-1)
+    added = tour_d.take(ac)
+    added += tour_d.take(be)
+    added[[n - 3, 2 * n - 5]] = np.inf  # the reflections
+    ab, ce = tour_d.take(ab), tour_d.take(edge).take(j_idx)
     return float(min((added - ab - ce).min(initial=sys.float_info.max),
                      (added - ce - ab).min(initial=sys.float_info.max)))
 
@@ -468,11 +447,16 @@ def _sa_cold_passes(tour: np.ndarray, flat: np.ndarray, i, j, jn, thresholds, ch
     is reversed into tour and yielded, and scoring resumes right after it.
     Each delta is summed in the scalar loop's order, ((ac + be) - ab) - ce,
     so it is the same float and the same proposals pass."""
-    ends = _reversal_ends(i, j, jn)
+    # the tour positions of the edges' ends: a, b, a, c, then c, e, b, e
+    ends = np.stack((i - 1, i, i - 1, j, j, jn, i, jn))
     start, size = 0, len(i)
     while start < size:
         part = slice(start, min(start + chunk, size))
-        ac, be, ab, ce = _edge_lengths(tour, flat, ends[:, part])
+        cities = tour.take(ends[:, part])
+        edges = cities[:4]
+        edges *= len(tour)
+        edges += cities[4:]
+        ac, be, ab, ce = flat.take(edges)
         delta = ac + be
         delta -= ab
         delta -= ce

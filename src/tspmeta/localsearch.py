@@ -47,10 +47,10 @@ def _tour_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     """Flat offsets into a row-major n x n matrix P indexed by tour position:
     of P[i-1, j], P[i, j+1] and P[i-1, i] for each of reversal_table(n)'s
     (i, j), and of P[k, k+1], the edge leaving position k, for each k; -1
-    and n wrap around; then a copy of the table's j. Cached like the table
-    and private to two_opt. The arrays are left writeable, since
-    ndarray.take copies a read-only index array on every call, so no caller
-    may write to them."""
+    and n wrap around; then a copy of the table's j. Cached like the table;
+    two_opt's passes and SA's floor read them. The arrays are left
+    writeable, since ndarray.take copies a read-only index array on every
+    call, so no caller may write to them."""
     i_idx, j_idx, j_next = reversal_table(n)
     i_prev = (i_idx - 1) % n
     k = np.arange(n)

@@ -663,6 +663,27 @@ class TestScreenedLevels:
                         deltas.append(scalar_delta(m.rows, reading, i, j, jn))
         assert min(deltas) == floor
 
+    @given(st.integers(3, 60), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(3, False, False, 0)
+    @settings(max_examples=60)
+    def test_the_floor_is_the_least_of_both_sums_over_the_table(self, n, grid, polished, seed):
+        # every entry but the two reflections, each summed both ways; a
+        # 2-opt optimum has no delta far below a reflection's near-zero one,
+        # so a reflection counted by mistake shows, and at 3 cities, where
+        # every entry reflects, the floor is the largest float
+        rng = random.Random(seed)
+        m = tm.build_distance_matrix(grid_or_uniform(rng, n, grid))
+        order, rows = list(tm.random_tour(n, rng)), m.rows
+        if polished:
+            order = list(tm.two_opt(order, m))
+        sums = [sys.float_info.max]
+        for i, j, jn in zip(*(column.tolist() for column in reversal_table(n))):
+            if j - i != n - 2:
+                a, b, c, e = order[i - 1], order[i], order[j], order[jn]
+                added = rows[a][c] + rows[b][e]
+                sums += [added - rows[a][b] - rows[c][e], added - rows[c][e] - rows[a][b]]
+        assert _sa_floor(np.array(order), m.d.ravel()) == min(sums)
+
     @given(st.integers(3, 12), st.booleans(), st.sampled_from([None, 1, 7]),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)
