@@ -128,12 +128,12 @@ class CrossoverWork:
 
 def order_crossover_rows(children: np.ndarray, rows: np.ndarray, parents: np.ndarray,
                          mates: np.ndarray, cut_l: np.ndarray, cut_r: np.ndarray,
-                         work: CrossoverWork | None = None) -> None:
+                         work: CrossoverWork) -> None:
     """order_crossover in place on some rows of a (C, n) array: for each r,
     row rows[r] of children (parent 1, distinct rows) becomes its child with
     row mates[r] of parents (parent 2), with cuts cut_l[r] and cut_r[r].
     work is a CrossoverWork for at least as many rows as children and
-    parents have; one is allocated if it is None.
+    parents have.
 
     Positions and cities are read in coordinates rotated left by cut_r, where
     parent 1's segment is the tail of length L = cut_r - cut_l and the fill
@@ -146,8 +146,6 @@ def order_crossover_rows(children: np.ndarray, rows: np.ndarray, parents: np.nda
     count, n = len(rows), children.shape[1]
     if not children.flags.c_contiguous:
         raise ValueError("children must be C-contiguous: the child rows are written flat")
-    if work is None:
-        work = CrossoverWork(max(len(children), len(parents)), n)
     local = work.offsets[:count]  # row r's offset in the (count, n) workspaces
     positions, flat, cities, flags = (
         a[:count] for a in (work.positions, work.flat, work.cities, work.flags))
@@ -191,14 +189,13 @@ def swap_mutation_rows(tours: np.ndarray, rows: np.ndarray, gen: np.random.Gener
 
 
 def tournament_winners(draws: np.ndarray, ranked: np.ndarray,
-                       work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                       work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per row of a (T, k) array of drawn population indices, the one that
     comes first in ranked, the population in (cost, index) order (the
-    stable argsort of the costs). work, if given, is a pair made once per
-    run: an intp array the size of ranked, that each index's rank is
-    written into, and np.arange(ranked.size)."""
-    rank, positions = work if work is not None else (np.empty_like(ranked),
-                                                     np.arange(ranked.size))
+    stable argsort of the costs). work is a pair made once per run: an intp
+    array the size of ranked, that each index's rank is written into, and
+    np.arange(ranked.size)."""
+    rank, positions = work
     rank[ranked] = positions
     return ranked.take(np.minimum.reduce(rank.take(draws), axis=1))
 

@@ -166,9 +166,9 @@ def load_instance_reporting(path: str) -> Instance:
     """load_instance_file's instance, with each parse warning printed to
     stderr as `warning: file:line: message`. `solve` and `bench` load
     instance files through here."""
-    instance, diags = load_instance_file(path)
-    for line, message in diags.warnings:
-        print(f"warning: {diags.source_name}:{line}: {message}", file=sys.stderr)
+    instance, warnings = load_instance_file(path)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return instance
 
 

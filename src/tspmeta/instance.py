@@ -164,19 +164,18 @@ def cycle_length(order, rows) -> float:
 
 
 def cycle_lengths(orders: np.ndarray, d: np.ndarray,
-                  work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                  work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """cycle_length of each row of a (P, n) array of visit orders, P >= 0,
     n >= 1, equal to it bit for bit: the row-wise cumsum adds the same edges
     in the same order (a plain .sum() would add them pairwise and round
     differently). The edges come from one gather from d's flat view, at
     city * n + successor, the successor of a row's last city being its
-    first. work, if given, is a pair of C-contiguous (P, n) arrays, intp and
-    float64, that the edges and the sums are written into (so a caller that
-    scores every generation allocates no (P, n) array); the result is then
-    a view of the float one."""
+    first. work is a pair of C-contiguous (P, n) arrays, intp and float64,
+    that the edges and the sums are written into (so a caller that scores
+    every generation allocates no (P, n) array); the result is a view of
+    the float one."""
     n = orders.shape[1]
-    edges, lengths = work if work is not None else (np.empty(orders.shape, np.intp),
-                                                    np.empty(orders.shape))
+    edges, lengths = work
     np.multiply(orders, n, out=edges)
     # one flat add of each city's successor (a strided 2-D add would buffer
     # a temporary as large as the array); it gives each row's last city the

@@ -234,8 +234,6 @@ def two_opt(t: Tour, m: DistanceMatrix) -> Tour:
     plain ints, whatever integer type t holds.
     """
     validate_tour(t, m.n)
-    if m.n < 4:
-        return tuple(int(c) for c in t)
     return _two_opt_passes(_neighbor_sweep(t, m), m)
 
 
@@ -253,11 +251,12 @@ def _two_opt_passes(t: Tour, m: DistanceMatrix) -> Tour:
     as SA sums its proposals' deltas, so the moves and the result are the
     same as scanning d.
 
-    t must be a permutation of 0..m.n-1; two_opt checks it.
+    t must be a permutation of 0..m.n-1; two_opt checks it. Returns plain
+    ints, whatever integer type t holds.
     """
     n = m.n
     if n < 4:
-        return t
+        return tuple(map(int, t))
     i_idx, margin = reversal_table(n)[0], _margin(m)
     ac, be, ab, edge, j_idx = _tour_offsets(n)
 

@@ -12,9 +12,9 @@ space, so position updates need no repair step.
 
 The swarm is mostly close to converged, so the work follows the
 disagreement: swap_difference walks only the positions where the two tours
-differ (and returns at once when they agree), and each particle's velocity
-and position come from one move that applies the kept swaps to one list,
-range-checking only the inertia swaps it did not derive itself.
+differ (and returns at once when they agree), velocity_update range-checks
+only the inertia swaps it did not derive itself, and step applies the kept
+swaps to one list.
 
 Stream discipline (one shared random.Random per run): initialization
 shuffles tours for particles 0..n-1 in order; each step then consumes, per
@@ -172,32 +172,20 @@ def stochastic_scale(s: SwapSequence, coefficient: float, rng: random.Random) ->
     return s[:keep]
 
 
-def _move(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float,
-          rng: random.Random) -> tuple[SwapSequence, Tour]:
-    """A particle's new velocity and the position it moves to.
-
-    The velocity is the inertia, cognitive and social terms concatenated in
-    that fixed order and truncated to 2n swaps, so velocities cannot grow
-    without bound; the position applies it to the particle's position. Only
-    the inertia prefix is range-checked (ValueError): the other swaps come
-    from this call's own swap_difference, in range by construction.
-    """
+def velocity_update(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float,
+                    rng: random.Random) -> SwapSequence:
+    """The velocity of the particle's move: inertia, cognitive and social
+    terms concatenated in that fixed order and truncated to 2n swaps, so
+    velocities cannot grow without bound. Only the inertia prefix is
+    range-checked (ValueError): the other swaps come from this call's own
+    swap_difference, in range by construction."""
     n = len(p.position)
     inertia = stochastic_scale(p.velocity, w_now, rng)
     cognitive = stochastic_scale(swap_difference(p.position, p.pbest), c1, rng)
     social = stochastic_scale(swap_difference(p.position, gbest), c2, rng)
     velocity = (inertia + cognitive + social)[:2 * n]
     _check_swaps(velocity[:len(inertia)], n)
-    return velocity, _swapped(p.position, velocity)
-
-
-def velocity_update(p: Particle, gbest: Tour, w_now: float, c1: float, c2: float,
-                    rng: random.Random) -> SwapSequence:
-    """The velocity of the particle's move: inertia, cognitive, and social
-    terms concatenated in that fixed order; the result is truncated to 2n
-    swaps so velocities cannot grow without bound. Raises ValueError when a
-    kept inertia swap is out of range."""
-    return _move(p, gbest, w_now, c1, c2, rng)[0]
+    return velocity
 
 
 def _inertia_now(cfg: SwarmConfig, iteration: int) -> float:
@@ -255,7 +243,8 @@ def step(state: SwarmState, cfg: SwarmConfig, m: DistanceMatrix,
             costs.append(p.pbest_cost)
             particles.append(p)
             continue
-        velocity, position = _move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
+        velocity = velocity_update(p, gbest, w_now, cfg.c1, cfg.c2, rng)
+        position = _swapped(p.position, velocity)
         if cfg.local_search is LocalSearch.TWO_OPT_ALL:
             position = _two_opt_passes(position, m)
         costs.append(cycle_length(position, rows))

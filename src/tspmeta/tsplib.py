@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -22,32 +21,16 @@ _IGNORED_KEYWORDS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE"}
 _SUPPORTED_EDGE_WEIGHT_TYPES = {"EUC_2D"}
 
 
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
-
-
-@dataclass
-class ParseDiagnostics:
-    source_name: str
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-
-    def warn(self, line: int, message: str) -> None:
-        self.warnings.append((line, message))
-
-
-def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, ParseDiagnostics]:
+def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, list[str]]:
     """Parse the EUC_2D coordinate subset of the TSPLIB format.
 
     Recognized keywords: NAME, TYPE (must be TSP), DIMENSION,
     EDGE_WEIGHT_TYPE (EUC_2D only), NODE_COORD_SECTION, EOF. Keyword lines
     accept any spacing around the colon. 1-based node ids become 0-based
-    city ids; DIMENSION must match the number of coordinate lines.
+    city ids; DIMENSION must match the number of coordinate lines. Returns
+    the instance and its warnings, each a "source_name:line: message" string.
     """
-    diags = ParseDiagnostics(source_name=source_name)
+    warnings: list[str] = []
     name: str | None = None
     dimension: int | None = None
     edge_weight_type: str | None = None
@@ -66,10 +49,13 @@ def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, Pa
 
         if in_coords:
             parts = line.split()
-            if _is_int(parts[0]):
+            try:
+                node_id = int(parts[0])
+            except ValueError:  # a keyword line ends the section; handle it below
+                in_coords = False
+            else:
                 if len(parts) != 3:
                     raise ParseError(f"expected 'id x y' in NODE_COORD_SECTION, got {line!r}", lineno)
-                node_id = int(parts[0])
                 try:
                     x, y = float(parts[1]), float(parts[2])
                 except ValueError:
@@ -80,7 +66,6 @@ def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, Pa
                     raise ParseError(f"non-finite coordinate for node {node_id}", lineno)
                 nodes[node_id] = (x, y)
                 continue
-            in_coords = False  # keyword line ends the section; handle it below
 
         if ":" in line:
             key, _, value = line.partition(":")
@@ -112,7 +97,7 @@ def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, Pa
         elif key in _IGNORED_KEYWORDS:
             pass
         else:
-            diags.warn(lineno, f"unrecognized keyword {key!r} ignored")
+            warnings.append(f"{source_name}:{lineno}: unrecognized keyword {key!r} ignored")
 
     if dimension is None:
         raise ParseError("missing DIMENSION", last_line)
@@ -125,24 +110,22 @@ def parse_tsplib(text: str, source_name: str = "<tsplib>") -> tuple[Instance, Pa
     if sorted(nodes) != list(range(1, dimension + 1)):
         raise ParseError("node ids must be exactly 1..DIMENSION", coord_section_line)
     if edge_weight_type is None:
-        diags.warn(last_line, "missing EDGE_WEIGHT_TYPE, assuming EUC_2D")
+        warnings.append(f"{source_name}:{last_line}: missing EDGE_WEIGHT_TYPE, assuming EUC_2D")
 
     coords = [nodes[i] for i in range(1, dimension + 1)]
     try:
         instance = Instance.from_coords(name or source_name, coords, Metric.EUCLIDEAN_ROUNDED)
     except ValueError as exc:  # e.g. a distance that overflows a float
         raise ParseError(str(exc), coord_section_line) from None
-    return instance, diags
+    return instance, warnings
 
 
-def parse_coords_csv(text: str, name: str = "coords",
-                     source_name: str = "<csv>") -> tuple[Instance, ParseDiagnostics]:
+def parse_coords_csv(text: str, name: str = "coords") -> tuple[Instance, list[str]]:
     """Parse 'x,y' lines; row order defines 0-based city ids.
 
     Blank lines and lines starting with '#' are skipped. The metric is
-    exact Euclidean.
+    exact Euclidean. No line warns: the warning list returned is empty.
     """
-    diags = ParseDiagnostics(source_name=source_name)
     coords: list[tuple[float, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -161,7 +144,7 @@ def parse_coords_csv(text: str, name: str = "coords",
     if not coords:
         raise ParseError("no coordinate rows found", 0)
     try:
-        return Instance.from_coords(name, coords, Metric.EUCLIDEAN_EXACT), diags
+        return Instance.from_coords(name, coords, Metric.EUCLIDEAN_EXACT), []
     except ValueError as exc:  # e.g. a distance that overflows a float
         raise ParseError(str(exc), 0) from None
 
@@ -243,7 +226,7 @@ def open_text(path: str | Path, mode: str = "r"):
         raise ParseError(f"no file can have the path {str(path)!r}: {exc}") from None
 
 
-def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
+def load_instance_file(path: str | Path) -> tuple[Instance, list[str]]:
     """Load an instance from disk, dispatching on the file extension
     (.tsp/.tsplib use the TSPLIB parser, anything else the CSV parser)."""
     p = Path(path)
@@ -257,7 +240,7 @@ def load_instance_file(path: str | Path) -> tuple[Instance, ParseDiagnostics]:
             raise ParseError(f"{source_name} is not UTF-8 text: {exc}") from None
     if p.suffix.lower() in (".tsp", ".tsplib"):
         return parse_tsplib(text, source_name=source_name)
-    return parse_coords_csv(text, name=Path(source_name).stem, source_name=source_name)
+    return parse_coords_csv(text, name=Path(source_name).stem)
 
 
 def packaged_instance(name: str) -> Instance:

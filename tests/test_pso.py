@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tspmeta as tm
+from tspmeta import pso
 from tspmeta.errors import MAX_POPULATION
 from tspmeta.instance import cycle_length
 from tspmeta.localsearch import _two_opt_passes
-from tspmeta.pso import (_LEAD_POLISH, LocalSearch, Particle, SwarmState, _inertia_now,
-                         _move, init_state)
+from tspmeta.pso import _LEAD_POLISH, LocalSearch, Particle, SwarmState, _inertia_now, init_state
 from conftest import assert_valid_result, random_instance
 from golden import check
 
@@ -64,7 +64,7 @@ def reference_step(state, cfg, m, rng):
 
     particles, costs = [], []
     for p in state.particles:
-        velocity, position = _move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
+        velocity, position = reference_move(p, gbest, w_now, cfg.c1, cfg.c2, rng)
         if cfg.local_search is LocalSearch.TWO_OPT_ALL:
             position = _two_opt_passes(position, m)
         costs.append(cycle_length(position, rows))
@@ -269,8 +269,8 @@ class TestVelocityUpdate:
 class TestMove:
     def test_equals_the_composed_reference(self):
         # fuzzed particles, velocities up to 3n swaps (over the 2n cap), and
-        # every coefficient sometimes at 0: the same velocity and position,
-        # from velocity_update too, and the same stream state after
+        # every coefficient sometimes at 0: velocity_update and apply_swaps
+        # give the same velocity and position, and the same stream state after
         rng = random.Random(808)
         for case in range(600):
             n = rng.randint(1, 40)
@@ -283,10 +283,11 @@ class TestMove:
             w, c1, c2 = (rng.choice([0.0, rng.random() * scale]) for scale in (1, 2, 2))
             seed = rng.randrange(2**32)
             ours, theirs = random.Random(seed), random.Random(seed)
-            expected = reference_move(p, gbest, w, c1, c2, theirs)
-            assert _move(p, gbest, w, c1, c2, ours) == expected, case
+            expected_velocity, expected_position = reference_move(p, gbest, w, c1, c2, theirs)
+            velocity = tm.velocity_update(p, gbest, w, c1, c2, ours)
+            assert velocity == expected_velocity, case
+            assert tm.apply_swaps(position, velocity) == expected_position, case
             assert ours.getstate() == theirs.getstate()
-            assert tm.velocity_update(p, gbest, w, c1, c2, random.Random(seed)) == expected[0]
 
 
 class TestStep:
@@ -462,6 +463,24 @@ class TestRun:
         result = tm.run_pso(five_city, tm.SwarmConfig(seed=0, stagnation_limit=5))
         assert result.iterations_run < 100
         assert result.best_cost == pytest.approx(FIVE_CITY_OPT_COST, abs=1e-9)
+
+    def test_step_runs_the_exported_velocity_update(self, monkeypatch, five_city, berlin52):
+        # step looks velocity_update up in its module, as the tracer rebinds
+        # it; a particle at rest makes no call
+        cases = ((five_city, tm.SwarmConfig()), (berlin52, tm.SwarmConfig(max_iter=20)))
+        unwrapped = [tm.run_pso(inst, cfg) for inst, cfg in cases]
+        original, calls = pso.velocity_update, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pso, "velocity_update", counted)
+        for (inst, cfg), expected in zip(cases, unwrapped):
+            calls.clear()
+            result = tm.run_pso(inst, cfg)
+            assert 1 <= len(calls) <= cfg.n_particles * result.iterations_run
+            assert replace(result, wall_time=0.0) == replace(expected, wall_time=0.0)
 
     @pytest.mark.parametrize("mode", list(tm.LocalSearch))
     def test_results_are_pinned(self, mode):

@@ -26,11 +26,11 @@ EOF
 
 class TestParseTsplib:
     def test_five_city_file(self):
-        inst, diags = tm.parse_tsplib(FIVE_CITY_TSPLIB)
+        inst, warnings = tm.parse_tsplib(FIVE_CITY_TSPLIB)
         assert inst.n == 5
         assert inst.metric is tm.Metric.EUCLIDEAN_ROUNDED
         assert (inst.cities[1].x, inst.cities[1].y) == (1.0, 3.0)
-        assert diags.warnings == []
+        assert warnings == []
 
     def test_crlf_and_loose_spacing(self):
         text = FIVE_CITY_TSPLIB.replace("NAME: ", "NAME :  ").replace("\n", "\r\n")
@@ -78,9 +78,9 @@ class TestParseTsplib:
 
     def test_missing_edge_weight_type_warns(self):
         text = FIVE_CITY_TSPLIB.replace("EDGE_WEIGHT_TYPE: EUC_2D\n", "")
-        inst, diags = tm.parse_tsplib(text)
+        inst, warnings = tm.parse_tsplib(text, source_name="five.tsp")
         assert inst.metric is tm.Metric.EUCLIDEAN_ROUNDED
-        assert any("EDGE_WEIGHT_TYPE" in msg for _, msg in diags.warnings)
+        assert warnings == ["five.tsp:10: missing EDGE_WEIGHT_TYPE, assuming EUC_2D"]
 
     def test_error_carries_line_number(self):
         text = FIVE_CITY_TSPLIB.replace("3 4 3", "3 4 potato")
@@ -171,11 +171,11 @@ class TestWriters:
         # refused it and the TSPLIB parser warned of a keyword 'B'
         coords = [(0.0, 0.0), (1.5, 3.0), (4.0, 3.25)]
         inst = tm.Instance.from_coords(name, coords)
-        csv, csv_diags = tm.parse_coords_csv(tm.write_coords_csv(inst))
-        tsp, tsp_diags = tm.parse_tsplib(tm.write_tsplib(inst))
-        for back, diags in ((csv, csv_diags), (tsp, tsp_diags)):
+        csv, csv_warnings = tm.parse_coords_csv(tm.write_coords_csv(inst))
+        tsp, tsp_warnings = tm.parse_tsplib(tm.write_tsplib(inst))
+        for back, warnings in ((csv, csv_warnings), (tsp, tsp_warnings)):
             assert [(c.x, c.y) for c in back.cities] == coords
-            assert diags.warnings == []
+            assert warnings == []
         assert tsp.name.splitlines() in ([tsp.name], [])
 
 
